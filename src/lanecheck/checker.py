@@ -22,6 +22,9 @@ Two query styles are supported:
   zero-delay (time never advances), or when every controller enabled
   somewhere on the cycle's strongly connected component also fires inside
   it, so no controller is starved by the scheduler.
+
+There is one successor generator; ``guard_mode`` only selects how its
+static per-pair overlap tables are decided (see ``Engine``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .automata import (ActClaim, ActReserve, ActTau, ActWithdrawClaim,
                        Constants, LaneExists, SpatialGuard, build_controller,
                        build_observer_collision, build_observer_live,
                        canonical_variant)
-from .mlsl import And, ExistsCar, Not, Re, VarEq, somewhere
 from .scenario import Scenario
 from .traffic import CarState, Claim, Extent, Reserve, Tau, TrafficSnapshot, \
     View, WithdrawClaim, WithdrawReservation
@@ -292,14 +294,19 @@ class _CarTable:
         self.loc_names = loc_names
         loc_idx = {nm: k for k, nm in enumerate(loc_names)}
 
-        configs: List[Tuple[int, int, int, int]] = []
+        # locations whose clock is never read nor bounded: x is pinned to 0
+        dead_x = set()
         for loc in autom.locations:
             out = autom.edges_from(loc.name)
             reads_clock = any(
                 isinstance(g, ClockConstraint) for e in out for g in e.guards
             )
-            x_dead = normalize and loc.clock_bound is None and not reads_clock
-            if x_dead:
+            if normalize and loc.clock_bound is None and not reads_clock:
+                dead_x.add(loc.name)
+
+        configs: List[Tuple[int, int, int, int]] = []
+        for loc in autom.locations:
+            if loc.name in dead_x:
                 xs: Sequence[int] = (0,)
             else:
                 hi = loc.clock_bound
@@ -335,15 +342,6 @@ class _CarTable:
         self.delay_next = [-1] * count
         self.fires: List[Tuple[_FireDesc, ...]] = [()] * count
         self.loc_of = [0] * count
-
-        dead_x = set()
-        for loc in autom.locations:
-            out = autom.edges_from(loc.name)
-            reads_clock = any(
-                isinstance(g, ClockConstraint) for e in out for g in e.guards
-            )
-            if normalize and loc.clock_bound is None and not reads_clock:
-                dead_x.add(loc.name)
 
         for ci, (li, x, n, l) in enumerate(configs):
             loc = autom.locations[li]
@@ -494,6 +492,16 @@ class Engine:
     cars is a sequence of (name, lane, pos, size) tuples.  The initial
     snapshot is not collision-checked here (scenario loading does that),
     so deliberately unsafe starting points can be built for testing.
+
+    Every spatial question is "another car's lanes meet ego's somewhere in
+    ego's view" (pc, claim-free, cc) or "two cars' reservations meet"
+    (collision).  That holds exactly when some single pair shares a lane
+    and the pair's extents overlap inside the view.  The lane half is the
+    bitmask AND that _expand does per state; the geometry half is one
+    boolean per ordered pair, fixed because positions never change, kept
+    in _ovl_view and _ovl_global.  guard_mode="interval" fills them by
+    interval arithmetic; guard_mode="mlsl" decides each entry by formula
+    (_probe_view, _probe_global) the first time it is read.
     """
 
     def __init__(self, lane_count: int, cars: Sequence[Tuple[str, int, int, int]],
@@ -546,18 +554,22 @@ class Engine:
         # pairwise extent overlaps; _ovl_view[i][j] clips both cars to car
         # i's view before testing, _ovl_global ignores views entirely
         n = self._ncars
-        self._ovl_view = [[False] * n for _ in range(n)]
-        self._ovl_global = [[False] * n for _ in range(n)]
-        for i, a in enumerate(tables):
-            vlo, vhi = a.pos - horizon, a.pos + horizon
-            for j, b in enumerate(tables):
-                if i == j:
-                    continue
-                self._ovl_global[i][j] = (a.pos < b.pos + b.size
-                                          and b.pos < a.pos + a.size)
-                ai, bi = max(a.pos, vlo), min(a.pos + a.size, vhi)
-                aj, bj = max(b.pos, vlo), min(b.pos + b.size, vhi)
-                self._ovl_view[i][j] = max(ai, aj) < min(bi, bj)
+        if guard_mode == "mlsl":
+            self._ovl_view = [_ProbedRow(i, self._probe_view) for i in range(n)]
+            self._ovl_global = [_ProbedRow(i, self._probe_global) for i in range(n)]
+        else:
+            self._ovl_view = [[False] * n for _ in range(n)]
+            self._ovl_global = [[False] * n for _ in range(n)]
+            for i, a in enumerate(tables):
+                vlo, vhi = a.pos - horizon, a.pos + horizon
+                for j, b in enumerate(tables):
+                    if i == j:
+                        continue
+                    self._ovl_global[i][j] = (a.pos < b.pos + b.size
+                                              and b.pos < a.pos + a.size)
+                    ai, bi = max(a.pos, vlo), min(a.pos + a.size, vhi)
+                    aj, bj = max(b.pos, vlo), min(b.pos + b.size, vhi)
+                    self._ovl_view[i][j] = max(ai, aj) < min(bi, bj)
 
         # observers: collision first, then per-car trackers in cars order
         self._coll_obs = build_observer_collision() if collision_observer else None
@@ -597,13 +609,6 @@ class Engine:
             for i, t in enumerate(tables)
         ]
 
-        if guard_mode == "mlsl":
-            self._formula_pc = mlsl.exists_pc_formula()
-            self._formula_cc = mlsl.cc_formula()
-            self._formula_collision = ExistsCar("c", ExistsCar("d", And(
-                Not(VarEq("c", "d")), somewhere(And(Re("c"), Re("d"))))))
-            self._mlsl_cache: Dict[tuple, bool] = {}
-
         init_digits = [t.initial for t in tables] + [0] * (len(radices) - n)
         self._initial_sid = self._pack_digits(init_digits)
 
@@ -621,117 +626,36 @@ class Engine:
             digits.append((sid // m) % r)
         return digits
 
-    # -- spatial predicates ---------------------------------------------------
-
-    def _pc_some(self, i: int, cfgs: Sequence[int]) -> bool:
-        """Car i's claim overlaps someone's reservation or claim, in i's view."""
-        if self.guard_mode == "mlsl":
-            return self._mlsl_pc_some(i, cfgs)
-        clm = self._cars[i].clm_mask[cfgs[i]]
-        if not clm:
-            return False
-        ovl = self._ovl_view[i]
-        for j in range(self._ncars):
-            if j != i and ovl[j] and clm & self._cars[j].occ_mask[cfgs[j]]:
-                return True
-        return False
-
-    def _cc_ok(self, i: int, cfgs: Sequence[int]) -> bool:
-        """No reservation of another car overlaps car i's, in i's view."""
-        if self.guard_mode == "mlsl":
-            return self._mlsl_cc_ok(i, cfgs)
-        res = self._cars[i].res_mask[cfgs[i]]
-        ovl = self._ovl_view[i]
-        for j in range(self._ncars):
-            if j != i and ovl[j] and res & self._cars[j].res_mask[cfgs[j]]:
-                return False
-        return True
-
-    def _claim_blocked(self, i: int, lane: int, cfgs: Sequence[int]) -> bool:
-        """Someone already holds the lane car i wants to claim, in i's view."""
-        if self.guard_mode == "mlsl":
-            return self._mlsl_claim_blocked(i, lane, cfgs)
-        bit = 1 << lane
-        ovl = self._ovl_view[i]
-        for j in range(self._ncars):
-            if j != i and ovl[j] and bit & self._cars[j].occ_mask[cfgs[j]]:
-                return True
-        return False
-
-    def _collision_some(self, cfgs: Sequence[int]) -> bool:
-        """Two overlapping cars share a reserved lane (road-global)."""
-        if self.guard_mode == "mlsl":
-            return self._mlsl_collision(cfgs)
-        n = self._ncars
-        for i in range(n):
-            ri = self._cars[i].res_mask[cfgs[i]]
-            ovl = self._ovl_global[i]
-            for j in range(i + 1, n):
-                if ovl[j] and ri & self._cars[j].res_mask[cfgs[j]]:
-                    return True
-        return False
-
-    # the mlsl-backed versions answer the same questions by evaluating the
-    # corresponding spatial formulas on the derived snapshot (slow; used to
-    # cross-validate the interval shortcuts)
-
-    def _spatial_sig(self, cfgs: Sequence[int]) -> tuple:
-        return tuple((t.res_mask[c], t.clm_mask[c]) for t, c in zip(self._cars, cfgs))
-
     def _snapshot_of(self, cfgs: Sequence[int]) -> TrafficSnapshot:
         return TrafficSnapshot(
             self.lane_count,
             {t.name: t.car_state(c) for t, c in zip(self._cars, cfgs)},
         )
 
-    def _mlsl_pc_some(self, i: int, cfgs) -> bool:
-        key = ("pc", i, self._spatial_sig(cfgs))
-        hit = self._mlsl_cache.get(key)
-        if hit is None:
-            ts = self._snapshot_of(cfgs)
-            ego = self._cars[i].name
-            view = traffic.standard_view(ts, ego, self.horizon)
-            hit = mlsl.eval(ts, view, {"ego": ego}, self._formula_pc)
-            self._mlsl_cache[key] = hit
-        return hit
+    # -- pair probes (guard_mode="mlsl") --------------------------------------
 
-    def _mlsl_cc_ok(self, i: int, cfgs) -> bool:
-        key = ("cc", i, self._spatial_sig(cfgs))
-        hit = self._mlsl_cache.get(key)
-        if hit is None:
-            ts = self._snapshot_of(cfgs)
-            ego = self._cars[i].name
-            view = traffic.standard_view(ts, ego, self.horizon)
-            hit = mlsl.eval(ts, view, {"ego": ego}, self._formula_cc)
-            self._mlsl_cache[key] = hit
-        return hit
+    def _probe_view(self, i: int, j: int) -> bool:
+        """_ovl_view[i][j] by exists_pc_formula in i's standard view of a
+        two-lane road where i reserves lane 1 and claims lane 0, j reserves
+        lane 0: true exactly when the extents overlap inside the view."""
+        ego, other = self._cars[i], self._cars[j]
+        ts = TrafficSnapshot(2, {
+            ego.name: CarState(ego.pos, ego.size, res={1}, clm={0}),
+            other.name: CarState(other.pos, other.size, res={0}),
+        })
+        view = traffic.standard_view(ts, ego.name, self.horizon)
+        return mlsl.eval(ts, view, {"ego": ego.name}, mlsl.exists_pc_formula())
 
-    def _mlsl_claim_blocked(self, i: int, lane: int, cfgs) -> bool:
-        key = ("cf", i, lane, self._spatial_sig(cfgs))
-        hit = self._mlsl_cache.get(key)
-        if hit is None:
-            ts = self._snapshot_of(cfgs)
-            ego = self._cars[i].name
-            car = ts.car(ego)
-            ts2 = ts.with_car(ego, CarState(car.pos, car.size, car.res,
-                                            frozenset({lane})))
-            view = traffic.standard_view(ts2, ego, self.horizon)
-            hit = mlsl.eval(ts2, view, {"ego": ego}, self._formula_pc)
-            self._mlsl_cache[key] = hit
-        return hit
-
-    def _mlsl_collision(self, cfgs) -> bool:
-        key = ("coll", self._spatial_sig(cfgs))
-        hit = self._mlsl_cache.get(key)
-        if hit is None:
-            ts = self._snapshot_of(cfgs)
-            lo = min(t.pos for t in self._cars) - 1
-            hi = max(t.pos + t.size for t in self._cars) + 1
-            view = View(0, self.lane_count - 1, Extent(lo, hi))
-            ego = self._cars[0].name
-            hit = mlsl.eval(ts, view, {"ego": ego}, self._formula_collision)
-            self._mlsl_cache[key] = hit
-        return hit
+    def _probe_global(self, i: int, j: int) -> bool:
+        """_ovl_global[i][j] by the collision formula on a one-lane road
+        where both cars reserve the lane, viewed past every car's ends."""
+        a, b = self._cars[i], self._cars[j]
+        ts = TrafficSnapshot(1, {a.name: CarState(a.pos, a.size, res={0}),
+                                 b.name: CarState(b.pos, b.size, res={0})})
+        lo = min(t.pos for t in self._cars) - 1
+        hi = max(t.pos + t.size for t in self._cars) + 1
+        return mlsl.eval(ts, View(0, 0, Extent(lo, hi)), {"ego": a.name},
+                         mlsl.collision_formula())
 
     # -- successor generation -------------------------------------------------
 
@@ -743,11 +667,6 @@ class Engine:
         a fire of controller i, and ncars<<8 for the collision observer.
         enabled_mask has bit i set when controller i can fire here.
         """
-        if self.guard_mode == "mlsl":
-            return self._expand_generic(sid)
-        return self._expand_fast(sid)
-
-    def _expand_fast(self, sid: int):
         cars = self._cars
         mults = self._mults
         n = self._ncars
@@ -862,74 +781,6 @@ class Engine:
 
         return succs, enabled, any_fire
 
-    def _expand_generic(self, sid: int):
-        digits = self._unpack(sid)
-        n = self._ncars
-        cfgs = digits[:n]
-        succs: List[Tuple[int, int]] = []
-        enabled = 0
-
-        for i in range(n):
-            table = self._cars[i]
-            for fd in table.fires[cfgs[i]]:
-                req = fd.req
-                if req == _REQ_PCSOME:
-                    if not self._pc_some(i, cfgs):
-                        continue
-                elif req == _REQ_PCNONE:
-                    if self._pc_some(i, cfgs):
-                        continue
-                elif req == _REQ_CLAIMFREE:
-                    if self._claim_blocked(i, fd.req_lane, cfgs):
-                        continue
-                # global invariant check on the target state
-                old = cfgs[i]
-                cfgs[i] = fd.target
-                ok = True
-                for j in range(n):
-                    inv = self._cars[j].inv[cfgs[j]]
-                    if inv == _INV_CC:
-                        if not self._cc_ok(j, cfgs):
-                            ok = False
-                            break
-                    elif inv == _INV_PCNONE:
-                        if self._pc_some(j, cfgs):
-                            ok = False
-                            break
-                cfgs[i] = old
-                if not ok:
-                    continue
-                enabled |= 1 << i
-                new_digits = list(digits)
-                new_digits[i] = fd.target
-                if fd.emit:
-                    oi = self._live_index.get(table.name)
-                    if oi is not None:
-                        k = self._live_digit0 + oi
-                        new_digits[k] = _LIVE_NEXT[fd.emit][digits[k]]
-                succs.append(((i << 8) | fd.slot, self._pack_digits(new_digits)))
-
-        any_fire = bool(succs)
-        if self._coll_digit >= 0 and digits[self._coll_digit] == 0 \
-                and self._collision_some(cfgs):
-            new_digits = list(digits)
-            new_digits[self._coll_digit] = 1
-            succs.append((self._collide_code, self._pack_digits(new_digits)))
-            any_fire = True
-
-        delayed = []
-        for i in range(n):
-            nx = self._cars[i].delay_next[cfgs[i]]
-            if nx < 0:
-                delayed = None
-                break
-            delayed.append(nx)
-        if delayed is not None:
-            new_digits = delayed + digits[n:]
-            succs.append((-1, self._pack_digits(new_digits)))
-
-        return succs, enabled, any_fire
-
     def _step_of(self, sid: int, code: int) -> Step:
         if code == -1:
             return Delay(1)
@@ -998,21 +849,8 @@ class Engine:
         return [(self._step_of(sid, code), self._to_state(s2)) for code, s2 in succs]
 
     def deadlock(self, state: SystemState) -> bool:
-        return self._deadlock_sid(self._pack_state(state))
-
-    def _deadlock_sid(self, sid: int) -> bool:
-        """True when no fire is possible here or after any amount of waiting."""
-        seen = set()
-        cur = sid
-        while cur not in seen:
-            seen.add(cur)
-            succs, _, any_fire = self._expand(cur)
-            if any_fire:
-                return False
-            if not succs:
-                return True
-            cur = succs[-1][1]     # the delay successor is last
-        return True
+        sid = self._pack_state(state)
+        return self._deadlock_from(sid, self._expand(sid))
 
     # -- reachability (AG) ----------------------------------------------------
 
@@ -1056,11 +894,11 @@ class Engine:
                     return conclude_fail(sid, states)
                 for code, s2 in expansion[0]:
                     if visited.add(s2):
-                        states += 1
-                        if states > self.budget:
+                        if states >= self.budget:
                             return Verdict(
                                 "inconclusive", states=states,
                                 note=f"state budget {self.budget} exhausted")
+                        states += 1
                         if parents is not None:
                             parents[s2] = (sid, code)
                             if len(parents) > _WITNESS_LIMIT:
@@ -1210,30 +1048,22 @@ class Engine:
     def _bfs_to_fire(self, start: int, comp: Set[int], edges, actor: int,
                      fire_only: bool):
         """Shortest walk inside the SCC ending with a fire of the actor."""
-        prev: Dict[int, Tuple[int, int, int]] = {}
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            nxt = []
-            for sid in frontier:
-                for code, s2 in edges[sid]:
-                    if s2 not in comp or (fire_only and code == -1):
-                        continue
-                    if code != -1 and (code >> 8) == actor:
-                        path = self._unwind(prev, start, sid)
-                        return path + [(sid, code, s2)]
-                    if s2 not in seen:
-                        seen.add(s2)
-                        prev[s2] = (sid, code, s2)
-                        nxt.append(s2)
-            frontier = nxt
-        raise CheckerError("controller lost inside its own component")
+        return self._bfs_in_scc(
+            start, comp, edges, fire_only,
+            lambda code, s2: code != -1 and (code >> 8) == actor)
 
     def _bfs_to_node(self, start: int, comp: Set[int], edges, goal: int,
                      *, need_step: bool, fire_only: bool):
         """Shortest walk inside the SCC from start to goal (>=1 step if asked)."""
         if start == goal and not need_step:
             return []
+        return self._bfs_in_scc(start, comp, edges, fire_only,
+                                lambda code, s2: s2 == goal)
+
+    def _bfs_in_scc(self, start: int, comp: Set[int], edges, fire_only: bool,
+                    stop: Callable[[int, int], bool]):
+        """Shortest walk inside the SCC from start whose last edge
+        (code, s2) satisfies stop; delays are skipped when fire_only."""
         prev: Dict[int, Tuple[int, int, int]] = {}
         frontier = [start]
         seen = {start}
@@ -1243,14 +1073,14 @@ class Engine:
                 for code, s2 in edges[sid]:
                     if s2 not in comp or (fire_only and code == -1):
                         continue
-                    if s2 == goal:
+                    if stop(code, s2):
                         return self._unwind(prev, start, sid) + [(sid, code, s2)]
                     if s2 not in seen:
                         seen.add(s2)
                         prev[s2] = (sid, code, s2)
                         nxt.append(s2)
             frontier = nxt
-        raise CheckerError("SCC walk failed to close")
+        raise CheckerError("SCC walk found no edge to stop at")
 
     @staticmethod
     def _unwind(prev, start, end):
@@ -1346,6 +1176,24 @@ class Engine:
             live_observers=live,
             **kwargs,
         )
+
+
+class _ProbedRow:
+    """Row i of a pair table whose entry j is decided by probe(i, j) the
+    first time it is read, then kept."""
+
+    __slots__ = ("_i", "_probe", "_known")
+
+    def __init__(self, i: int, probe: Callable[[int, int], bool]):
+        self._i = i
+        self._probe = probe
+        self._known: Dict[int, bool] = {}
+
+    def __getitem__(self, j: int) -> bool:
+        hit = self._known.get(j)
+        if hit is None:
+            hit = self._known[j] = self._probe(self._i, j)
+        return hit
 
 
 class _Visited:

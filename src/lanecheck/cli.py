@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="explore at most N states, then report inconclusive")
     p_check.add_argument(
         "--guard-mode", choices=("interval", "mlsl"), default=None,
-        help="how controllers evaluate spatial guards (default interval)")
+        help="decide which car pairs can meet by interval arithmetic or "
+             "by evaluating the guard formulas (default interval)")
     p_check.add_argument(
         "--json", action="store_true", help="machine-readable output")
     p_check.set_defaults(func=_cmd_check)

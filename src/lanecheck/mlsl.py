@@ -11,7 +11,12 @@ sub-view.
 Two evaluation strategies are provided for horizontal chops: `fast` tries
 only chop points near extent boundaries and visible car endpoints (widened
 enough to cover nested chops over free space), `sweep` tries every integer
-point and serves as the reference oracle in tests.
+point and serves as the reference oracle in tests.  `fast` is evaluated
+bottom-up: each subformula gets, per lane band and left end r, the set of
+right ends t where it holds as one bitmask, so a horizontal chop is a
+relational composition of such rows and a vertical chop composes them over
+lane splits (the usual dynamic program for chop in interval temporal logic).
+`sweep` keeps the direct top-down recursion over every split point.
 
 The module also carries the interval-arithmetic collision checks used by
 the controllers (`cc`, `pc`, `intersect`) and builders for their formula
@@ -389,9 +394,9 @@ def _free_vars(f: Formula) -> Tuple[str, ...]:
 
 
 class _Ctx:
-    __slots__ = ("names", "ext", "res", "clm", "mode", "memo")
+    __slots__ = ("names", "ext", "res", "clm", "mode", "memo", "lo", "hi", "near", "fv")
 
-    def __init__(self, ts: TrafficSnapshot, mode: str):
+    def __init__(self, ts: TrafficSnapshot, mode: str, extent: Extent):
         self.names = tuple(sorted(ts.cars))
         self.ext = {n: (ts.cars[n].pos, ts.cars[n].pos + ts.cars[n].size) for n in self.names}
         self.res = {n: ts.cars[n].res for n in self.names}
@@ -400,7 +405,10 @@ class _Ctx:
         # nested chops revisit the same node on the same subview many
         # times, once per split combination above it; results only depend
         # on the subview and the node's free-variable bindings
-        self.memo: Dict[tuple, bool] = {}
+        self.memo: Dict[tuple, Union[bool, int]] = {}
+        self.lo, self.hi = extent.lo, extent.hi
+        self.near: Dict[int, FrozenSet[int]] = {}  # k -> car endpoints widened by k
+        self.fv: Dict[int, Tuple[str, ...]] = {}  # id(node) -> its free variables
 
     def visible(self, r: int, t: int) -> Tuple[str, ...]:
         ext = self.ext
@@ -503,6 +511,96 @@ def _eval(ctx: _Ctx, ll: int, ln: int, r: int, t: int, nu: Dict[str, Union[str, 
     raise MlslError(f"unknown formula node {f!r}")
 
 
+def _span(ctx: _Ctx, x: int, y: int) -> int:
+    """Row bits of the right ends x..y, clipped to the view's extent."""
+    y = min(y, ctx.hi)
+    return ((1 << (y - x + 1)) - 1) << (x - ctx.lo) if x <= y else 0
+
+
+def _row(ctx: _Ctx, ll: int, ln: int, r: int, nu: Dict[str, Union[str, int]], f: Formula) -> int:
+    """The right ends t in [r, hi] where f holds on lanes ll..ln, extent [r, t].
+
+    Bit t - lo of the result stands for t.  Gives exactly the truth values
+    of `_eval` in fast mode, computed once per (node, band, r, binding)
+    instead of once per path of chop points leading there.
+    """
+    if isinstance(f, TrueF):
+        return _span(ctx, r, ctx.hi)
+    if isinstance(f, VarEq):
+        return _span(ctx, r, ctx.hi) if _lookup(nu, f.left) == _lookup(nu, f.right) else 0
+    if isinstance(f, Free):
+        if ln != ll:
+            return 0
+        # free on [r, t] iff r < t and every car reaching past r starts at t or later
+        end = ctx.hi
+        for a, b in ctx.ext.values():
+            if b > r:
+                end = min(end, a)
+        return _span(ctx, r + 1, end)
+    if isinstance(f, (Re, Cl)):
+        if ln != ll or r >= ctx.hi:
+            return 0
+        alpha = _lookup(nu, f.car)
+        ext = ctx.ext.get(alpha)
+        if ext is None:
+            raise EvalError(f"variable {f.car!r} valuates to unknown car {alpha!r}")
+        a, b = ext
+        lanes = ctx.res[alpha] if isinstance(f, Re) else ctx.clm[alpha]
+        return _span(ctx, r + 1, b) if ll in lanes and a <= r else 0
+    fv = ctx.fv.get(id(f))
+    if fv is None:
+        fv = ctx.fv[id(f)] = _free_vars(f)
+    key = (id(f), ll, ln, r, tuple(nu.get(v) for v in fv))
+    hit = ctx.memo.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(f, Not):
+        row = _span(ctx, r, ctx.hi) & ~_row(ctx, ll, ln, r, nu, f.sub)
+    elif isinstance(f, And):
+        row = _row(ctx, ll, ln, r, nu, f.left)
+        if row:
+            row &= _row(ctx, ll, ln, r, nu, f.right)
+    elif isinstance(f, ExistsCar):
+        shadowed = nu.get(f.var, _MISSING)
+        row = 0
+        for alpha in ctx.names:
+            a, b = ctx.ext[alpha]
+            if b >= r:  # visible on [r, t] from t = a on
+                nu[f.var] = alpha
+                row |= _row(ctx, ll, ln, r, nu, f.sub) & _span(ctx, max(a, r), ctx.hi)
+        _restore(nu, f.var, shadowed)
+    elif isinstance(f, HChop):
+        # s is a chop point of [r, t] iff it lies within k of r, of t or of
+        # a car endpoint (see _chop_points); only the "within k of t" case
+        # depends on t, and it limits t to s..s+k
+        k = _hchop_count(f)
+        near = ctx.near.get(k)
+        if near is None:
+            near = ctx.near[k] = frozenset(
+                e + d for ext in ctx.ext.values() for e in ext for d in range(-k, k + 1))
+        row = 0
+        left = _row(ctx, ll, ln, r, nu, f.left)
+        while left:
+            low = left & -left
+            left ^= low
+            s = ctx.lo + low.bit_length() - 1
+            right = _row(ctx, ll, ln, s, nu, f.right)
+            if s - r <= k or s in near:
+                row |= right
+            else:
+                row |= right & _span(ctx, s, s + k)
+    elif isinstance(f, VChop):
+        row = 0
+        for m in range(ll - 1, ln + 1):
+            lower = _row(ctx, ll, m, r, nu, f.lower)
+            if lower:
+                row |= lower & _row(ctx, m + 1, ln, r, nu, f.upper)
+    else:
+        raise MlslError(f"unknown formula node {f!r}")
+    ctx.memo[key] = row
+    return row
+
+
 _MISSING = object()
 
 
@@ -532,15 +630,17 @@ def eval(ts: TrafficSnapshot, view: View, nu: Valuation, phi: Formula,
         raise ValueError(f"chop_mode must be 'fast' or 'sweep', got {chop_mode!r}")
     if "ego" not in nu:
         raise EvalError("valuation must bind 'ego'")
-    ctx = _Ctx(ts, chop_mode)
-    return _eval(ctx, view.lane_lo, view.lane_hi, view.extent.lo, view.extent.hi,
-                 dict(nu), phi)
+    ctx = _Ctx(ts, chop_mode, view.extent)
+    lo, hi = view.extent.lo, view.extent.hi
+    if chop_mode == "sweep":
+        return _eval(ctx, view.lane_lo, view.lane_hi, lo, hi, dict(nu), phi)
+    return bool(_row(ctx, view.lane_lo, view.lane_hi, lo, dict(nu), phi) >> (hi - lo) & 1)
 
 
 def hchop_candidates(ts: TrafficSnapshot, view: View, f: HChop,
                      chop_mode: str = "fast") -> Tuple[int, ...]:
     """The chop points eval would try for f at the top of this view."""
-    ctx = _Ctx(ts, chop_mode)
+    ctx = _Ctx(ts, chop_mode, view.extent)
     return tuple(_chop_points(ctx, f, view.extent.lo, view.extent.hi))
 
 
@@ -604,6 +704,12 @@ def cc_formula() -> Formula:
             And(Not(VarEq("c", "ego")), somewhere(And(Re("ego"), Re("c")))),
         )
     )
+
+
+def collision_formula() -> Formula:
+    """Two distinct cars have overlapping reservations somewhere."""
+    return ExistsCar("c", ExistsCar("d", And(
+        Not(VarEq("c", "d")), somewhere(And(Re("c"), Re("d"))))))
 
 
 def safe_formula() -> Formula:

@@ -1,17 +1,22 @@
 """Slow reference checkers the engine's verdicts are compared against.
 
-Everything here recomputes verdicts from the engine's successor relation
-only, using plain dictionaries over rich SystemState objects and networkx
+formula_successors is a reference successor relation: it answers every
+spatial guard by evaluating its MLSL formula on the full snapshot.  The
+rest recomputes verdicts from the engine's successor relation only, using plain dictionaries over rich SystemState objects and networkx
 graph algorithms: a different traversal (iterative DFS vs the checker's
 BFS), different cycle machinery (networkx SCCs vs hand-rolled Tarjan) and
 a different state representation (structured states vs packed integers).
 """
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from lanecheck.checker import Delay, Engine, Fire, Step, SystemState
+from lanecheck import mlsl, traffic
+from lanecheck.checker import (_INV_CC, _INV_PCNONE, _LIVE_NEXT, _REQ_CLAIMFREE,
+                               _REQ_PCNONE, _REQ_PCSOME, Delay, Engine, Fire,
+                               Step, SystemState)
+from lanecheck.traffic import CarState, Extent, View
 
 Adjacency = Dict[SystemState, List[Tuple[Step, SystemState]]]
 
@@ -137,3 +142,94 @@ def success_goal(cars) -> Callable[[SystemState], bool]:
         return any(state.location(n) == "success" for n in names)
 
     return good
+
+
+# --- reference successor relation ---------------------------------------------
+
+_PC = mlsl.exists_pc_formula()
+_CC = mlsl.cc_formula()
+_COLLISION = mlsl.collision_formula()
+
+
+def formula_successors(engine: Engine, sid: int, cache: Optional[dict] = None):
+    """Engine._expand(sid) recomputed with every spatial question asked of
+    the formula evaluator on the whole snapshot, not of the pair tables.
+
+    Guards are exists_pc_formula (pc-some, pc-none) and, for claim-free,
+    exists_pc_formula on the snapshot with ego's claim swapped to the
+    wanted lane; every car's invariant (cc_formula, pc-none) is checked on
+    the target state; the collision observer asks the collision formula on
+    a road-wide view.  Answers depend only on the question, the car and
+    the lanes every car holds, so they are memoised in cache on that key;
+    pass one dict per engine to share it across calls.
+    """
+    cache = {} if cache is None else cache
+    cars = engine._cars
+    n = engine._ncars
+    digits = engine._unpack(sid)
+    cfgs = digits[:n]
+
+    def ask(question, i, lane=None):
+        key = (question, i, lane,
+               tuple((t.res_mask[c], t.clm_mask[c]) for t, c in zip(cars, cfgs)))
+        if key not in cache:
+            cache[key] = _formula_answer(engine, question, i, lane, cfgs)
+        return cache[key]
+
+    def violated(j):
+        inv = cars[j].inv[cfgs[j]]
+        return ((inv == _INV_CC and not ask("cc", j))
+                or (inv == _INV_PCNONE and ask("pc", j)))
+
+    succs: List[Tuple[int, int]] = []
+    enabled = 0
+    for i in range(n):
+        table = cars[i]
+        for fd in table.fires[cfgs[i]]:
+            if fd.req == _REQ_PCSOME and not ask("pc", i):
+                continue
+            if fd.req == _REQ_PCNONE and ask("pc", i):
+                continue
+            if fd.req == _REQ_CLAIMFREE and ask("pc-claim", i, fd.req_lane):
+                continue
+            old = cfgs[i]
+            cfgs[i] = fd.target
+            broken = any(violated(j) for j in range(n))
+            cfgs[i] = old
+            if broken:
+                continue
+            enabled |= 1 << i
+            new_digits = list(digits)
+            new_digits[i] = fd.target
+            if fd.emit and table.name in engine._live_index:
+                k = engine._live_digit0 + engine._live_index[table.name]
+                new_digits[k] = _LIVE_NEXT[fd.emit][digits[k]]
+            succs.append(((i << 8) | fd.slot, engine._pack_digits(new_digits)))
+
+    any_fire = bool(succs)
+    cd = engine._coll_digit
+    if cd >= 0 and digits[cd] == 0 and ask("collision", None):
+        new_digits = list(digits)
+        new_digits[cd] = 1
+        succs.append((engine._collide_code, engine._pack_digits(new_digits)))
+        any_fire = True
+
+    delayed = [cars[i].delay_next[cfgs[i]] for i in range(n)]
+    if all(d >= 0 for d in delayed):
+        succs.append((-1, engine._pack_digits(delayed + digits[n:])))
+    return succs, enabled, any_fire
+
+
+def _formula_answer(engine: Engine, question: str, i, lane, cfgs) -> bool:
+    ts = engine._snapshot_of(cfgs)
+    if question == "collision":
+        lo = min(t.pos for t in engine._cars) - 1
+        hi = max(t.pos + t.size for t in engine._cars) + 1
+        view = View(0, engine.lane_count - 1, Extent(lo, hi))
+        return mlsl.eval(ts, view, {"ego": engine._cars[0].name}, _COLLISION)
+    ego = engine._cars[i].name
+    if question == "pc-claim":
+        car = ts.car(ego)
+        ts = ts.with_car(ego, CarState(car.pos, car.size, car.res, {lane}))
+    view = traffic.standard_view(ts, ego, engine.horizon)
+    return mlsl.eval(ts, view, {"ego": ego}, _CC if question == "cc" else _PC)

@@ -1,10 +1,12 @@
 """Engine behaviour: exploration, verdicts, witnesses, budgets, query plumbing."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lanecheck import checker, traffic
+from lanecheck import checker, mlsl, traffic
 from lanecheck.automata import Constants
 from lanecheck.checker import (
     BUDGET_ENV_VAR,
@@ -20,6 +22,7 @@ from lanecheck.checker import (
     run_query,
 )
 from lanecheck.scenario import Scenario, ScenarioCar
+from lanecheck.traffic import CarState, TrafficSnapshot
 
 import oracles
 from support import fig1, replay
@@ -32,6 +35,17 @@ def tiny(variant="original", lanes=2, constants=None):
         variant=variant,
         constants=constants or Constants(),
     )
+
+
+def three_lane_fig1(variant="original"):
+    sc = fig1(variant)
+    cars = tuple(dataclasses.replace(c, lane=min(c.lane, 2)) for c in sc.cars)
+    return dataclasses.replace(sc, lane_count=3, cars=cars)
+
+
+def road(lanes, cars, variant, horizon=None):
+    return Scenario(lane_count=lanes, cars=tuple(ScenarioCar(*c) for c in cars),
+                    variant=variant, constants=Constants(), horizon=horizon)
 
 
 ALL_QUERIES = (NoDeadlock(), SafetyNoCollision(), LivenessAny(), LivenessCar("A"))
@@ -342,14 +356,81 @@ def test_repeated_runs_are_identical():
         assert first == second
 
 
-def test_guard_modes_agree():
+def _guard_mode_roads(variant):
+    asym = [("A", 0, 0, 10), ("B", 1, 5, 10)]
+    return {
+        "tiny": tiny(variant),
+        "three-lane fig1": three_lane_fig1(variant),
+        "touching extents": road(2, [("A", 0, 0, 4), ("B", 1, 4, 4)], variant),
+        # at horizon 5 only B sees A; at 6 both see each other
+        "asymmetric clip h5": road(2, asym, variant, horizon=5),
+        "asymmetric clip h6": road(2, asym, variant, horizon=6),
+        "asymmetric clip plus C": road(3, asym + [("C", 2, 12, 6)], variant, horizon=6),
+    }
+
+
+def test_guard_modes_agree(monkeypatch):
+    calls = []
+    real_eval = mlsl.eval
+
+    def counted_eval(*args, **kwargs):
+        calls.append(args)
+        return real_eval(*args, **kwargs)
+
+    monkeypatch.setattr(mlsl, "eval", counted_eval)
     for variant in ("original", "live"):
-        sc = tiny(variant)
-        for query in ALL_QUERIES:
-            fast = run_query(sc, query, guard_mode="interval")
-            slow = run_query(sc, query, guard_mode="mlsl")
-            assert fast.outcome == slow.outcome, (variant, query)
-            assert fast.states == slow.states, (variant, query)
+        for name, sc in _guard_mode_roads(variant).items():
+            for query in ALL_QUERIES:
+                fast = run_query(sc, query, guard_mode="interval")
+                del calls[:]
+                eng = Engine.for_query(sc, query, guard_mode="mlsl")
+                assert not calls, "building the engine evaluated formulas"
+                slow = eng.run_query(query)
+                assert fast.outcome == slow.outcome, (variant, name, query)
+                assert fast.states == slow.states, (variant, name, query)
+                assert fast.witness == slow.witness, (variant, name, query)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pa=st.integers(-6, 6), sa=st.integers(1, 8), pb=st.integers(-6, 6),
+       sb=st.integers(1, 8), horizon=st.integers(1, 10))
+def test_pair_probes_share_one_geometry(pa, sa, pb, sb, horizon):
+    cars = [("A", 0, pa, sa), ("B", 1, pb, sb)]
+    probed = Engine(2, cars, guard_mode="mlsl", horizon=horizon)._ovl_view[0][1]
+    assert probed == Engine(2, cars, horizon=horizon)._ovl_view[0][1]
+    # the collision check asks the same pair question of reservations
+    ts = TrafficSnapshot(1, {"A": CarState(pa, sa, {0}), "B": CarState(pb, sb, {0})})
+    view = traffic.standard_view(ts, "A", horizon)
+    assert mlsl.eval(ts, view, {"ego": "A"}, mlsl.cc_formula()) == (not probed)
+
+
+def test_formula_successors_match_engine():
+    fig = three_lane_fig1("original")
+    roads = [
+        (fig.lane_count, [(c.name, c.lane, c.pos, c.size) for c in fig.cars],
+         {"horizon": fig.effective_horizon()}),
+        # an unsafe start, so the collision formula fires
+        (2, [("A", 0, 0, 5), ("B", 0, 3, 5)], {"collision_observer": True}),
+    ]
+    for variant in ("original", "live"):
+        roads.append((2, [("A", 0, 0, 4), ("B", 1, 2, 4)],
+                      {"variant": variant, "collision_observer": True,
+                       "live_observers": ("A", "B")}))
+    for lanes, cars, kwargs in roads:
+        eng = Engine(lanes, cars, **kwargs)
+        probed = Engine(lanes, cars, guard_mode="mlsl", **kwargs)
+        cache = {}
+        seen = {eng._initial_sid}
+        stack = [eng._initial_sid]
+        while stack:
+            sid = stack.pop()
+            expansion = eng._expand(sid)
+            assert oracles.formula_successors(eng, sid, cache) == expansion, sid
+            assert probed._expand(sid) == expansion, sid
+            for _, s2 in expansion[0]:
+                if s2 not in seen:
+                    seen.add(s2)
+                    stack.append(s2)
 
 
 def test_bad_guard_mode():
@@ -382,6 +463,7 @@ def test_budget_makes_searches_inconclusive():
     assert "state budget 50 exhausted" in v.note
     va = run_query(fig1("original-plus-tw"), LivenessCar("A"), budget=50)
     assert va.outcome == "inconclusive"
+    assert v.states == va.states == 50
 
 
 def test_budget_env_var(monkeypatch):
