@@ -25,13 +25,52 @@ Two query styles are supported:
 
 There is one successor generator; ``guard_mode`` only selects how its
 static per-pair overlap tables are decided (see ``Engine``).
+
+Interaction groups.  Cars i and j interact when either sees the other
+(the view overlap table, in either direction) or, under the collision
+test, their extents meet (the global overlap table; that implies the
+first).  The connected components of that relation are
+the interaction groups; a car's guards, its invariant and the collision
+test only ever look at cars of its own group.  ``run_query`` answers
+``SafetyNoCollision`` and ``NoDeadlock`` one group at a time, on an engine
+restricted to the group (same car tables, pair entries, horizon and
+budget, and the group's observers), and multiplies the state counts.
+That is exact when every car starts in a configuration whose delay step
+leads back to itself (cruising with a dead clock, the normalised start):
+
+* Every product step projects onto one group's step (a fire, or the
+  collision observer) or onto a delay in every group, so each group's
+  part of a reachable product state is reachable in the group alone.
+* Conversely, take one reachable state per group, reached by runs with
+  d_g delays.  Padding each run at its start with max(d) - d_g delays
+  (the start is a delay self-loop) makes the delay counts equal; then
+  running every group's fires between the same two delays is a product
+  run, since fires of one group neither read nor break the guards and
+  invariants of another, and a product delay is enabled exactly when
+  every group's is.  So the reachable product is the Cartesian product
+  of the group reach sets, and when no group reaches a collision neither
+  does the product.
+* A product state is deadlocked (no fire now, nor after any number of
+  delays) only if some group's part is: if every group reaches a fire
+  after t_g delays without getting stuck, the product can delay
+  min(t_g) times and then fire.
+
+So when every group holds, the query holds with the product of the group
+counts as its state count, or, when that product exceeds the budget, is
+inconclusive with the budget as the count, exactly as a monolithic
+search that never meets a bad state ends.  When the road has one group,
+a start is not a delay fixpoint, or any group fails or is inconclusive,
+the monolithic search runs instead, so every failing verdict, its state
+count and its witness are those of the whole product.  ``check_ag`` with
+a caller's predicate is never decomposed.  Liveness stays monolithic:
+its fairness rule looks at every controller at once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, Mapping,
+from dataclasses import dataclass, replace
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
                     Optional, Sequence, Set, Tuple, Union)
 
 from . import mlsl, traffic
@@ -220,12 +259,15 @@ class Trace:
 class Verdict:
     outcome: str                      # "holds" | "fails" | "inconclusive"
     witness: Optional[Trace] = None
-    states: int = 0
+    states: int = 0                   # distinct product states
     note: str = ""
+    explored: Optional[int] = None    # states the searches stored (default: states)
 
     def __post_init__(self):
         if self.outcome not in ("holds", "fails", "inconclusive"):
             raise CheckerError(f"bad outcome {self.outcome!r}")
+        if self.explored is None:
+            object.__setattr__(self, "explored", self.states)
 
     @property
     def holds(self) -> bool:
@@ -235,6 +277,7 @@ class Verdict:
         return {
             "outcome": self.outcome,
             "states": self.states,
+            "explored": self.explored,
             "note": self.note,
             "witness": None if self.witness is None else self.witness.to_dict(),
         }
@@ -501,7 +544,9 @@ class Engine:
     boolean per ordered pair, fixed because positions never change, kept
     in _ovl_view and _ovl_global.  guard_mode="interval" fills them by
     interval arithmetic; guard_mode="mlsl" decides each entry by formula
-    (_probe_view, _probe_global) the first time it is read.
+    (_probe_view, _probe_global) the first time it is read.  _expand reads
+    them through per-car neighbour lists, which _pair_graph builds on the
+    first expansion or query together with the interaction groups.
     """
 
     def __init__(self, lane_count: int, cars: Sequence[Tuple[str, int, int, int]],
@@ -539,9 +584,6 @@ class Engine:
             autom = build_controller(self.variant, name, self.constants)
             tables.append(_CarTable(name, lane, pos, size, autom, lane_count,
                                     normalize, clock_cap))
-        self._cars = tables
-        self._ncars = len(tables)
-        self.car_names = tuple(t.name for t in tables)
 
         if horizon is None:
             lo = min(t.pos for t in tables)
@@ -553,7 +595,7 @@ class Engine:
 
         # pairwise extent overlaps; _ovl_view[i][j] clips both cars to car
         # i's view before testing, _ovl_global ignores views entirely
-        n = self._ncars
+        n = len(tables)
         if guard_mode == "mlsl":
             self._ovl_view = [_ProbedRow(i, self._probe_view) for i in range(n)]
             self._ovl_global = [_ProbedRow(i, self._probe_global) for i in range(n)]
@@ -572,18 +614,32 @@ class Engine:
                     self._ovl_view[i][j] = max(ai, aj) < min(bi, bj)
 
         # observers: collision first, then per-car trackers in cars order
-        self._coll_obs = build_observer_collision() if collision_observer else None
-        self._live_cars: Tuple[str, ...] = tuple(live_observers)
-        for w in self._live_cars:
-            if w not in self.car_names:
+        live_cars = tuple(live_observers)
+        for w in live_cars:
+            if w not in seen:
                 raise CheckerError(f"live observer watches unknown car {w!r}")
-        if len(set(self._live_cars)) != len(self._live_cars):
+        if len(set(live_cars)) != len(live_cars):
             raise CheckerError("duplicate live observer")
-        self._live_obs = tuple(build_observer_live(w) for w in self._live_cars)
+        self._layout(tables,
+                     build_observer_collision() if collision_observer else None,
+                     [(w, build_observer_live(w)) for w in live_cars])
+
+    def _layout(self, tables: List[_CarTable], coll_obs: Optional[Automaton],
+                live: Sequence[Tuple[str, Automaton]]) -> None:
+        """Cars, observers and the packed state encoding over them."""
+        n = len(tables)
+        self._cars = tables
+        self._ncars = n
+        self.car_names = tuple(t.name for t in tables)
+        self._coll_obs = coll_obs
+        self._live_cars: Tuple[str, ...] = tuple(w for w, _ in live)
+        self._live_obs = tuple(obs for _, obs in live)
         self._live_index = {w: k for k, w in enumerate(self._live_cars)}
+        # neighbour lists and groups, read from the pair tables on first use
+        self._pairs: Optional[_Pairs] = None
 
         radices = [t.count for t in tables]
-        if self._coll_obs is not None:
+        if coll_obs is not None:
             radices.append(2)
         radices.extend(3 for _ in self._live_obs)
         self._radices = radices
@@ -592,9 +648,9 @@ class Engine:
             mults[k] = mults[k + 1] * radices[k + 1]
         self._mults = mults
         self.state_space = mults[0] * radices[0] if radices else 1
-        self._coll_digit = self._ncars if collision_observer else -1
-        self._live_digit0 = self._ncars + (1 if collision_observer else 0)
-        self._collide_code = self._ncars << 8
+        self._coll_digit = n if coll_obs is not None else -1
+        self._live_digit0 = n + (1 if coll_obs is not None else 0)
+        self._collide_code = n << 8
 
         # fast-path helpers: per-car observer digit index, differential
         # delay deltas (None where the clock bound blocks waiting)
@@ -657,6 +713,74 @@ class Engine:
         return mlsl.eval(ts, View(0, 0, Extent(lo, hi)), {"ego": a.name},
                          mlsl.collision_formula())
 
+    # -- interaction groups ---------------------------------------------------
+
+    def _pair_graph(self) -> "_Pairs":
+        """Neighbour lists and interaction groups, read from the pair tables
+        once, on first use, so guard_mode="mlsl" probes run during the first
+        query and not at build."""
+        if self._pairs is not None:
+            return self._pairs
+        n = self._ncars
+        view, glob = self._ovl_view, self._ovl_global
+        sees: List[List[int]] = [[] for _ in range(n)]
+        seen_by: List[List[int]] = [[] for _ in range(n)]
+        collide: List[Tuple[int, int]] = []
+        label = list(range(n))      # group label per car
+
+        def join(i: int, j: int) -> None:
+            a, b = label[i], label[j]
+            if a != b:
+                label[:] = [a if x == b else x for x in label]
+
+        for i in range(n):
+            for j in range(n):
+                if i != j and view[i][j]:
+                    sees[i].append(j)
+                    seen_by[j].append(i)
+                    join(i, j)
+            # only the collision observer reads the global table; it adds no
+            # link anyway: of two cars whose extents meet, the one further
+            # along sees the other in any view of positive horizon
+            if self._coll_obs is not None:
+                for j in range(i + 1, n):
+                    if glob[i][j]:
+                        collide.append((i, j))
+                        join(i, j)
+        groups: Dict[int, List[int]] = {}
+        for i in range(n):
+            groups.setdefault(label[i], []).append(i)
+        self._pairs = _Pairs(tuple(map(tuple, sees)), tuple(map(tuple, seen_by)),
+                             tuple(collide), tuple(map(tuple, groups.values())))
+        return self._pairs
+
+    def interaction_groups(self) -> List[Tuple[str, ...]]:
+        """Car names of each interaction group, in cars order."""
+        return [tuple(self.car_names[i] for i in g)
+                for g in self._pair_graph().groups]
+
+    def _restrict(self, group: Sequence[int]) -> "Engine":
+        """The engine of one interaction group: the parent's car tables,
+        horizon and budget, its decided pair entries sliced to the group
+        (so no probe runs again), and the group's observers."""
+        pairs = self._pair_graph()
+        collide = set(pairs.collide)
+        names = {self.car_names[i] for i in group}
+        sub = object.__new__(type(self))
+        sub.lane_count = self.lane_count
+        sub.variant = self.variant
+        sub.constants = self.constants
+        sub.guard_mode = self.guard_mode
+        sub.budget = self.budget
+        sub.horizon = self.horizon
+        sub._ovl_view = [[j in pairs.sees[i] for j in group] for i in group]
+        sub._ovl_global = [[(i, j) in collide or (j, i) in collide for j in group]
+                           for i in group]
+        sub._layout([self._cars[i] for i in group], self._coll_obs,
+                    [(w, obs) for w, obs in zip(self._live_cars, self._live_obs)
+                     if w in names])
+        return sub
+
     # -- successor generation -------------------------------------------------
 
     def _expand(self, sid: int):
@@ -670,13 +794,14 @@ class Engine:
         cars = self._cars
         mults = self._mults
         n = self._ncars
+        pairs = self._pairs or self._pair_graph()
+        sees, seen_by = pairs.sees, pairs.seen_by
         digits = self._unpack(sid)
         cfgs = digits[:n]
         res = [cars[j].res_mask[cfgs[j]] for j in range(n)]
         clm = [cars[j].clm_mask[cfgs[j]] for j in range(n)]
         occ = [cars[j].occ_mask[cfgs[j]] for j in range(n)]
         inv = [cars[j].inv[cfgs[j]] for j in range(n)]
-        ovl = self._ovl_view
         succs: List[Tuple[int, int]] = []
         enabled = 0
 
@@ -685,7 +810,7 @@ class Engine:
             fires = table.fires[cfgs[i]]
             if not fires:
                 continue
-            ovl_i = ovl[i]
+            nb = sees[i]
             mult_i = mults[i]
             ci = cfgs[i]
             for fd in fires:
@@ -695,8 +820,8 @@ class Engine:
                         c = clm[i]
                         hit = False
                         if c:
-                            for j in range(n):
-                                if j != i and ovl_i[j] and c & occ[j]:
+                            for j in nb:
+                                if c & occ[j]:
                                     hit = True
                                     break
                         if hit != (req == _REQ_PCSOME):
@@ -704,40 +829,41 @@ class Engine:
                     else:   # claim-free
                         bit = fd.req_bit
                         blocked = False
-                        for j in range(n):
-                            if j != i and ovl_i[j] and bit & occ[j]:
+                        for j in nb:
+                            if bit & occ[j]:
                                 blocked = True
                                 break
                         if blocked:
                             continue
+                # invariants in the target state: i's own against the cars
+                # it sees, then those of the cars that see i
                 tgt = fd.target
                 tr = table.res_mask[tgt]
                 tc = table.clm_mask[tgt]
-                tocc = tr | tc
                 ok = True
-                for j in range(n):
-                    if j == i:
-                        inv_j = table.inv[tgt]
-                        if inv_j == _INV_CC:
-                            for k in range(n):
-                                if k != i and ovl_i[k] and tr & res[k]:
-                                    ok = False
-                                    break
-                        elif inv_j == _INV_PCNONE and tc:
-                            for k in range(n):
-                                if k != i and ovl_i[k] and tc & occ[k]:
-                                    ok = False
-                                    break
-                    else:
+                inv_i = table.inv[tgt]
+                if inv_i == _INV_CC:
+                    for k in nb:
+                        if tr & res[k]:
+                            ok = False
+                            break
+                elif inv_i == _INV_PCNONE and tc:
+                    for k in nb:
+                        if tc & occ[k]:
+                            ok = False
+                            break
+                if ok:
+                    tocc = tr | tc
+                    for j in seen_by[i]:
                         inv_j = inv[j]
                         if inv_j == _INV_CC:
-                            if ovl[j][i] and res[j] & tr:
+                            if res[j] & tr:
                                 ok = False
+                                break
                         elif inv_j == _INV_PCNONE:
-                            if ovl[j][i] and clm[j] & tocc:
+                            if clm[j] & tocc:
                                 ok = False
-                    if not ok:
-                        break
+                                break
                 if not ok:
                     continue
                 enabled |= 1 << i
@@ -754,20 +880,11 @@ class Engine:
         any_fire = bool(succs)
         cd = self._coll_digit
         if cd >= 0 and digits[cd] == 0:
-            ovg = self._ovl_global
-            found = False
-            for i in range(n):
-                ri = res[i]
-                ovg_i = ovg[i]
-                for j in range(i + 1, n):
-                    if ovg_i[j] and ri & res[j]:
-                        found = True
-                        break
-                if found:
+            for i, j in pairs.collide:
+                if res[i] & res[j]:
+                    succs.append((self._collide_code, sid + mults[cd]))
+                    any_fire = True
                     break
-            if found:
-                succs.append((self._collide_code, sid + mults[cd]))
-                any_fire = True
 
         ddelta = 0
         for i in range(n):
@@ -1096,18 +1213,10 @@ class Engine:
     # -- query dispatch ---------------------------------------------------------
 
     def run_query(self, query: Query) -> Verdict:
-        if isinstance(query, NoDeadlock):
-            return self._ag(lambda sid, exp: self._deadlock_from(sid, exp),
-                            needs_expansion=True)
-        if isinstance(query, SafetyNoCollision):
-            if self._coll_obs is None:
+        if isinstance(query, (NoDeadlock, SafetyNoCollision)):
+            if isinstance(query, SafetyNoCollision) and self._coll_obs is None:
                 raise CheckerError("engine was built without the collision observer")
-            digit = self._coll_digit
-
-            def bad(sid, exp):
-                return (sid // self._mults[digit]) % 2 == 1
-
-            return self._ag(bad, needs_expansion=False)
+            return self._ag_by_group(query)
         if isinstance(query, (LivenessAny, LivenessCar)):
             watched = self._liveness_targets(query)
             ks = [self._live_digit0 + self._live_index[w] for w in watched]
@@ -1118,6 +1227,37 @@ class Engine:
 
             return self._af(goal)
         raise CheckerError(f"unknown query {query!r}")
+
+    def _ag_query(self, query: Query) -> Verdict:
+        """The monolithic search for NoDeadlock or SafetyNoCollision."""
+        if isinstance(query, NoDeadlock):
+            return self._ag(self._deadlock_from, needs_expansion=True)
+        unsafe = self._mults[self._coll_digit]
+        return self._ag(lambda sid, exp: (sid // unsafe) % 2 == 1,
+                        needs_expansion=False)
+
+    def _ag_by_group(self, query: Query) -> Verdict:
+        """_ag_query one interaction group at a time, when that is exact
+        (see the module docstring); otherwise, or when a group does not
+        hold, the monolithic search."""
+        groups = self._pair_graph().groups
+        explored = 0
+        if len(groups) > 1 and all(t.delay_next[t.initial] == t.initial
+                                   for t in self._cars):
+            product = 1
+            for group in groups:
+                part = self._restrict(group)._ag_query(query)
+                explored += part.explored
+                if not part.holds:
+                    break
+                product *= part.states
+            else:
+                if product <= self.budget:
+                    return Verdict("holds", states=product, explored=explored)
+                return Verdict("inconclusive", states=self.budget, explored=explored,
+                               note=f"state budget {self.budget} exhausted")
+        whole = self._ag_query(query)
+        return replace(whole, explored=explored + whole.explored)
 
     def _liveness_targets(self, query) -> Tuple[str, ...]:
         if isinstance(query, LivenessCar):
@@ -1176,6 +1316,15 @@ class Engine:
             live_observers=live,
             **kwargs,
         )
+
+
+class _Pairs(NamedTuple):
+    """Static pair structure of a road, read once from the pair tables."""
+
+    sees: Tuple[Tuple[int, ...], ...]       # [i]: cars j with _ovl_view[i][j]
+    seen_by: Tuple[Tuple[int, ...], ...]    # [i]: cars j with _ovl_view[j][i]
+    collide: Tuple[Tuple[int, int], ...]    # (i, j), i < j, with _ovl_global[i][j]
+    groups: Tuple[Tuple[int, ...], ...]     # interaction groups, in cars order
 
 
 class _ProbedRow:

@@ -195,7 +195,7 @@ def _print_verdict(args, sc: Scenario, verdict: Verdict) -> None:
     print(f"query     {args.query}")
     note = f"  ({verdict.note})" if verdict.note else ""
     print(f"verdict   {verdict.outcome}{note}")
-    print(f"states    {verdict.states}")
+    print(f"states    {verdict.states}  (explored {verdict.explored})")
     if verdict.witness is not None:
         print()
         print(render_trace(verdict.witness))
@@ -249,9 +249,11 @@ def _cmd_eval(args) -> int:
 def _cmd_info(args) -> int:
     sc = _load(args.scenario)
     controller = build_controller(sc.variant, "i", sc.constants)
+    groups = checker.Engine.for_query(sc, NoDeadlock()).interaction_groups()
     if args.json:
         doc = _scenario_doc(args.scenario, sc)
         doc["controller"] = _automaton_doc(controller)
+        doc["groups"] = [list(g) for g in groups]
         print(json.dumps(doc, indent=2))
         return EXIT_HOLDS
 
@@ -267,6 +269,8 @@ def _cmd_info(args) -> int:
           f" wait_lo={c.wait_lo} wait_hi={c.wait_hi}")
     print(f"horizon    {sc.effective_horizon()}"
           + ("" if sc.horizon is not None else "  (covers all cars)"))
+    print("groups     " + " ".join("{" + ",".join(g) + "}" for g in groups)
+          + "  (cars that can see or hit each other)")
     print(f"controller {len(controller.locations)} locations,"
           f" {len(controller.edges)} edges per car")
     if args.automata:
@@ -374,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lanecheck",
         description="Explicit-state verifier for multi-lane lane-change protocols.",
-        epilog=f"The {BUDGET_ENV_VAR} environment variable caps explored states "
-               "when --budget is not given.",
+        epilog=f"The {BUDGET_ENV_VAR} environment variable caps the distinct "
+               "states of the whole road when --budget is not given.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -395,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the witness trace (or a no-witness comment) to FILE")
     p_check.add_argument(
         "--budget", type=int, default=None, metavar="N",
-        help="explore at most N states, then report inconclusive")
+        help="report inconclusive once the whole road has more than N "
+             "distinct states (safety and no-deadlock may count them as a "
+             "product of interaction groups without storing them)")
     p_check.add_argument(
         "--guard-mode", choices=("interval", "mlsl"), default=None,
         help="decide which car pairs can meet by interval arithmetic or "

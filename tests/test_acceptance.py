@@ -237,6 +237,8 @@ def test_c8_scaling_wide_road():
             elapsed = time.perf_counter() - started
             assert safe.outcome == "holds", (variant, safe)
             assert alive.outcome == "holds", (variant, alive)
+            expected = 6_955_776 if variant == "original" else 9_547_824
+            assert safe.states == alive.states == expected, (variant, safe, alive)
             details.append(f"{variant} {safe.states} states {elapsed:.0f}s")
         info["detail"] = "; ".join(details)
 
@@ -255,6 +257,11 @@ def test_c8_four_cars_terminate_within_budget():
         ):
             v = run_query(sc, query, budget=budget)
             assert v.outcome in ("holds", "fails", "inconclusive"), (text, v)
+            if text in ("no-deadlock", "safety"):
+                # groups {A,B}, {D}, {E}: 417 * 52 * 52 states, over budget
+                assert v.outcome == "inconclusive", (text, v)
+                assert v.states == budget, (text, v)
+                assert v.explored == 417 + 52 + 52, (text, v)
             outcomes[text] = v.outcome
         elapsed = time.perf_counter() - started
         info["detail"] = (f"budget {budget}, {elapsed:.0f}s, "

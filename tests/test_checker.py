@@ -386,6 +386,9 @@ def test_guard_modes_agree(monkeypatch):
                 eng = Engine.for_query(sc, query, guard_mode="mlsl")
                 assert not calls, "building the engine evaluated formulas"
                 slow = eng.run_query(query)
+                if not isinstance(query, SafetyNoCollision):
+                    # only the collision observer needs the global table
+                    assert not any(row._known for row in eng._ovl_global)
                 assert fast.outcome == slow.outcome, (variant, name, query)
                 assert fast.states == slow.states, (variant, name, query)
                 assert fast.witness == slow.witness, (variant, name, query)
@@ -397,7 +400,11 @@ def test_guard_modes_agree(monkeypatch):
 def test_pair_probes_share_one_geometry(pa, sa, pb, sb, horizon):
     cars = [("A", 0, pa, sa), ("B", 1, pb, sb)]
     probed = Engine(2, cars, guard_mode="mlsl", horizon=horizon)._ovl_view[0][1]
-    assert probed == Engine(2, cars, horizon=horizon)._ovl_view[0][1]
+    interval = Engine(2, cars, horizon=horizon)
+    assert probed == interval._ovl_view[0][1]
+    # meeting extents link no cars that views do not (interaction groups)
+    ovl = interval._ovl_view
+    assert not interval._ovl_global[0][1] or ovl[0][1] or ovl[1][0]
     # the collision check asks the same pair question of reservations
     ts = TrafficSnapshot(1, {"A": CarState(pa, sa, {0}), "B": CarState(pb, sb, {0})})
     view = traffic.standard_view(ts, "A", horizon)
@@ -416,6 +423,9 @@ def test_formula_successors_match_engine():
         roads.append((2, [("A", 0, 0, 4), ("B", 1, 2, 4)],
                       {"variant": variant, "collision_observer": True,
                        "live_observers": ("A", "B")}))
+        # at horizon 5 only B sees A, so A's fires meet B's invariant only
+        roads.append((2, [("A", 0, 0, 10), ("B", 1, 5, 10)],
+                      {"variant": variant, "horizon": 5}))
     for lanes, cars, kwargs in roads:
         eng = Engine(lanes, cars, **kwargs)
         probed = Engine(lanes, cars, guard_mode="mlsl", **kwargs)
@@ -451,6 +461,110 @@ def test_unbounded_clock_needs_a_cap():
     with pytest.raises(CheckerError) as err:
         run_query(tiny(), NoDeadlock(), normalize=False)
     assert "clock_cap" in str(err.value)
+
+
+# --- interaction groups ------------------------------------------------------------
+
+
+def _grouped_road(rng):
+    """A road of 2-3 interaction groups: clusters of 1-2 cars (2 in the
+    first) whose extents overlap, 20 apart.  Small enough for the
+    monolithic search."""
+    ngroups = rng.randint(2, 3)
+    lanes = 2 if ngroups == 3 else rng.randint(2, 3)
+    cars = []
+    for g in range(ngroups):
+        for k in range(2 if g == 0 else rng.randint(1, 2)):
+            cars.append((f"G{g}{k}", rng.randrange(lanes), 20 * g + rng.randint(0, 1),
+                         rng.randint(2, 4)))
+    return lanes, cars, ngroups
+
+
+def _same_answer(got, want):
+    assert (got.outcome, got.states, got.note) == (want.outcome, want.states, want.note)
+    assert got.witness == want.witness
+
+
+def _ag_engine(lanes, cars, query, **kwargs):
+    return Engine(lanes, cars, collision_observer=isinstance(query, SafetyNoCollision),
+                  **kwargs)
+
+
+@pytest.mark.parametrize("guard_mode", ["interval", "mlsl"])
+def test_group_decomposition_matches_monolithic_search(guard_mode):
+    rng = random.Random(31)
+    decomposed = fallbacks = 0
+    for _ in range(8):
+        lanes, cars, ngroups = _grouped_road(rng)
+        for variant in ("original", "original-plus-tw", "live"):
+            for query in (SafetyNoCollision(), NoDeadlock()):
+                eng = _ag_engine(lanes, cars, query, variant=variant,
+                                 guard_mode=guard_mode)
+                got = eng.run_query(query)
+                assert len(eng.interaction_groups()) == ngroups
+                _same_answer(got, eng._ag_query(query))
+                if got.explored < got.states:
+                    decomposed += 1
+                else:
+                    fallbacks += 1
+    assert decomposed and fallbacks
+
+
+def test_group_runs_share_the_parent_tables(monkeypatch):
+    eng = Engine.for_query(fig1(), SafetyNoCollision())
+    built = []
+    monkeypatch.setattr(checker, "build_controller",
+                        lambda *args: built.append(args))
+    v = eng.run_query(SafetyNoCollision())
+    assert not built
+    assert eng.interaction_groups() == [("A", "B"), ("E",)]
+    assert (v.outcome, v.states, v.explored) == ("holds", 417 * 52, 417 + 52)
+
+
+def test_interaction_groups_close_over_chains():
+    # overlap is not transitive, groups are: C meets B, B meets A, A misses C
+    chain = Engine(2, [("C", 0, 6, 4), ("D", 1, 30, 4), ("A", 0, 0, 4), ("B", 1, 3, 4)])
+    assert chain.interaction_groups() == [("C", "A", "B"), ("D",)]
+
+
+def test_group_product_against_budget():
+    # fig1: groups of 417 and 52 states.  A budget of exactly the product,
+    # one below it, and one below group {A,B}, which makes that group
+    # inconclusive, so the whole road is searched as well
+    for budget, outcome, explored in ((417 * 52, "holds", 469),
+                                      (417 * 52 - 1, "inconclusive", 469),
+                                      (50, "inconclusive", 100)):
+        eng = Engine.for_query(fig1(), SafetyNoCollision(), budget=budget)
+        v = eng.run_query(SafetyNoCollision())
+        _same_answer(v, eng._ag_query(SafetyNoCollision()))
+        assert (v.outcome, v.states, v.explored) == (outcome, min(budget, 417 * 52),
+                                                     explored)
+
+
+def test_failing_group_falls_back_to_the_whole_road():
+    # an unsafe start in one group, a lone car in the other
+    unsafe = [("A", 0, 0, 5), ("B", 0, 3, 5), ("C", 1, 40, 5)]
+    # two lone cars on one lane: each group deadlocks at once
+    stuck = [("A", 0, 0, 5), ("B", 0, 20, 5)]
+    for lanes, cars, query in ((2, unsafe, SafetyNoCollision()),
+                               (1, stuck, NoDeadlock())):
+        eng = _ag_engine(lanes, cars, query)
+        v = eng.run_query(query)
+        assert v.outcome == "fails"
+        _same_answer(v, eng._ag_query(query))
+        assert v.explored > v.states
+        replay(v.witness)
+
+
+def test_unnormalized_start_is_not_decomposed():
+    cars = [("A", 0, 0, 4), ("B", 1, 20, 4)]
+    for query in (SafetyNoCollision(), NoDeadlock()):
+        eng = _ag_engine(2, cars, query, variant="original-plus-tw",
+                         normalize=False, clock_cap=6)
+        assert len(eng.interaction_groups()) == 2
+        v = eng.run_query(query)
+        assert v.explored == v.states
+        _same_answer(v, eng._ag_query(query))
 
 
 # --- budgets -------------------------------------------------------------------------

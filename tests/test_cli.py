@@ -44,7 +44,8 @@ def test_check_holds_exit_zero(capsys):
     assert code == 0
     assert "verdict   holds" in out
     assert "query     safety" in out
-    assert "states" in out
+    # groups {A,B} and {E}: 417 * 52 states, 417 + 52 stored
+    assert "states    21684  (explored 469)" in out
 
 
 def test_check_fails_exit_one_and_prints_witness(capsys):
@@ -90,7 +91,8 @@ def test_check_json_document(capsys):
     assert doc["scenario"]["constants"]["t_lc"] == 3
     assert doc["verdict"]["outcome"] == "holds"
     assert doc["verdict"]["witness"] is None
-    assert doc["verdict"]["states"] > 0
+    assert doc["verdict"]["states"] == 21684
+    assert doc["verdict"]["explored"] == 469
 
 
 def test_check_json_witness_shape(capsys):
@@ -216,6 +218,7 @@ def test_info_text(capsys):
     assert "variant    original" in out
     assert "controller 4 locations, 7 edges per car" in out
     assert "horizon    36" in out
+    assert "groups     {A,B} {E}" in out
 
 
 def test_info_automata_listing(capsys):
@@ -235,6 +238,7 @@ def test_info_json(capsys):
     assert doc["horizon"] == 36
     assert doc["controller"]["initial"] == "cruising"
     assert len(doc["controller"]["edges"]) == 7
+    assert doc["groups"] == [["A", "B"], ["E"]]
 
 
 def test_info_live_variant_shape(tmp_path, capsys):
