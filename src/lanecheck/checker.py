@@ -68,6 +68,7 @@ its fairness rule looks at every controller at once.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
@@ -90,6 +91,9 @@ DEFAULT_STATE_BUDGET = 10_000_000
 _BITMAP_LIMIT = 1 << 28
 # beyond this many stored parents, give up on materializing a witness
 _WITNESS_LIMIT = 4_000_000
+# successor rows memoised per car and query (Engine._expand), about 240 B
+# each; misses past this many are computed and not stored
+_ROW_LIMIT = 1 << 14
 
 
 class CheckerError(Exception):
@@ -529,6 +533,19 @@ def _state_budget(budget: Optional[int]) -> int:
     return value
 
 
+def _drops_rows(query):
+    """Wrap an Engine query so that the successor-row memo (_rows) is
+    dropped when it returns: engines kept alive between queries hold no
+    rows."""
+    @functools.wraps(query)
+    def run(self, *args, **kwargs):
+        try:
+            return query(self, *args, **kwargs)
+        finally:
+            self._rows = None
+    return run
+
+
 class Engine:
     """State-space explorer for one road, one protocol variant.
 
@@ -547,6 +564,24 @@ class Engine:
     (_probe_view, _probe_global) the first time it is read.  _expand reads
     them through per-car neighbour lists, which _pair_graph builds on the
     first expansion or query together with the interaction groups.
+
+    Successor rows.  The fires of car i that are enabled in a state, and
+    the sid deltas they make, depend on three things only: i's own
+    configuration; the configurations of the cars in sees[i] (the guards
+    and i's target invariant) and seen_by[i] (their invariants against
+    i's target); and i's live observer digit, when i is watched.  So is
+    i's part of the delay step.  The packing is in cars order, so those
+    car digits lie in one slice of the sid, from the first to the last of
+    i and its neighbours in cars order; that slice, times 3 plus the live
+    digit, keys i's memo in _rows.  The slice may hold digits of cars in
+    between that i does not read, which only splits one row over several
+    keys.  _expand looks every car's row up by key and computes a missing
+    one with _car_row, so a row is computed once per distinct
+    neighbourhood and the state is never unpacked when all rows hit.
+    The memo is built on the first expansion, holds at most _ROW_LIMIT
+    rows per car (later misses are computed and not stored), and is
+    dropped when run_query, check_ag or check_af returns; successors()
+    and deadlock() keep it, so a walk of single steps reuses it.
     """
 
     def __init__(self, lane_count: int, cars: Sequence[Tuple[str, int, int, int]],
@@ -637,6 +672,8 @@ class Engine:
         self._live_index = {w: k for k, w in enumerate(self._live_cars)}
         # neighbour lists and groups, read from the pair tables on first use
         self._pairs: Optional[_Pairs] = None
+        # per-car successor rows, built on the first expansion (_row_cache)
+        self._rows: Optional[List[Tuple[int, int, int, Dict[int, tuple]]]] = None
 
         radices = [t.count for t in tables]
         if coll_obs is not None:
@@ -652,17 +689,11 @@ class Engine:
         self._live_digit0 = n + (1 if coll_obs is not None else 0)
         self._collide_code = n << 8
 
-        # fast-path helpers: per-car observer digit index, differential
-        # delay deltas (None where the clock bound blocks waiting)
+        # per-car live observer digit index (-1 for unwatched cars)
         self._live_k = [
             self._live_digit0 + self._live_index[t.name]
             if t.name in self._live_index else -1
             for t in tables
-        ]
-        self._delay_delta = [
-            [None if nx < 0 else (nx - ci) * mults[i]
-             for ci, nx in enumerate(t.delay_next)]
-            for i, t in enumerate(tables)
         ]
 
         init_digits = [t.initial for t in tables] + [0] * (len(radices) - n)
@@ -789,114 +820,163 @@ class Engine:
         Returns (succs, enabled_mask, any_fire) where succs is a list of
         (code, successor sid); code is -1 for the delay step, i<<8|slot for
         a fire of controller i, and ncars<<8 for the collision observer.
-        enabled_mask has bit i set when controller i can fire here.
+        succs lists the fires by car and slot, then the collision observer,
+        then the delay.  enabled_mask has bit i set when controller i can
+        fire here.
+
+        Each car's fires, as (code, sid delta) pairs, and its delay delta
+        come from its memo in _rows, keyed on the slice of sid holding the
+        digits they are computed from, plus its live observer digit (see
+        the class docstring and _row_cache); a miss computes them with
+        _car_row and stores them while the memo has fewer than _ROW_LIMIT
+        rows.  The collision test reads the colliding cars' digits alone,
+        so a state whose rows all hit is never unpacked.  run_query,
+        check_ag and check_af drop the memo when they return.
         """
-        cars = self._cars
+        rows = self._rows or self._row_cache()
         mults = self._mults
-        n = self._ncars
-        pairs = self._pairs or self._pair_graph()
-        sees, seen_by = pairs.sees, pairs.seen_by
-        digits = self._unpack(sid)
-        cfgs = digits[:n]
-        res = [cars[j].res_mask[cfgs[j]] for j in range(n)]
-        clm = [cars[j].clm_mask[cfgs[j]] for j in range(n)]
-        occ = [cars[j].occ_mask[cfgs[j]] for j in range(n)]
-        inv = [cars[j].inv[cfgs[j]] for j in range(n)]
+        limit = _ROW_LIMIT
         succs: List[Tuple[int, int]] = []
         enabled = 0
-
-        for i in range(n):
-            table = cars[i]
-            fires = table.fires[cfgs[i]]
-            if not fires:
-                continue
-            nb = sees[i]
-            mult_i = mults[i]
-            ci = cfgs[i]
-            for fd in fires:
-                req = fd.req
-                if req:
-                    if req == _REQ_PCSOME or req == _REQ_PCNONE:
-                        c = clm[i]
-                        hit = False
-                        if c:
-                            for j in nb:
-                                if c & occ[j]:
-                                    hit = True
-                                    break
-                        if hit != (req == _REQ_PCSOME):
-                            continue
-                    else:   # claim-free
-                        bit = fd.req_bit
-                        blocked = False
-                        for j in nb:
-                            if bit & occ[j]:
-                                blocked = True
-                                break
-                        if blocked:
-                            continue
-                # invariants in the target state: i's own against the cars
-                # it sees, then those of the cars that see i
-                tgt = fd.target
-                tr = table.res_mask[tgt]
-                tc = table.clm_mask[tgt]
-                ok = True
-                inv_i = table.inv[tgt]
-                if inv_i == _INV_CC:
-                    for k in nb:
-                        if tr & res[k]:
-                            ok = False
-                            break
-                elif inv_i == _INV_PCNONE and tc:
-                    for k in nb:
-                        if tc & occ[k]:
-                            ok = False
-                            break
-                if ok:
-                    tocc = tr | tc
-                    for j in seen_by[i]:
-                        inv_j = inv[j]
-                        if inv_j == _INV_CC:
-                            if res[j] & tr:
-                                ok = False
-                                break
-                        elif inv_j == _INV_PCNONE:
-                            if clm[j] & tocc:
-                                ok = False
-                                break
-                if not ok:
-                    continue
+        ddelta: Optional[int] = 0
+        for i, (div, span, k, memo) in enumerate(rows):
+            key = (sid // div) % span
+            if k >= 0:
+                key = key * 3 + (sid // mults[k]) % 3
+            hit = memo.get(key)
+            if hit is None:
+                hit = self._car_row(i, sid)
+                if len(memo) < limit:
+                    memo[key] = hit
+            fires, dd = hit
+            if fires:
                 enabled |= 1 << i
-                delta = (tgt - ci) * mult_i
-                if fd.emit:
-                    k = self._live_k[i]
-                    if k >= 0:
-                        cur = digits[k]
-                        nxt = _LIVE_NEXT[fd.emit][cur]
-                        if nxt != cur:
-                            delta += (nxt - cur) * mults[k]
-                succs.append(((i << 8) | fd.slot, sid + delta))
+                for code, delta in fires:
+                    succs.append((code, sid + delta))
+            if ddelta is not None:
+                ddelta = None if dd is None else ddelta + dd
 
         any_fire = bool(succs)
         cd = self._coll_digit
-        if cd >= 0 and digits[cd] == 0:
-            for i, j in pairs.collide:
-                if res[i] & res[j]:
+        if cd >= 0 and (sid // mults[cd]) % 2 == 0:
+            cars, radices = self._cars, self._radices
+            for i, j in self._pairs.collide:
+                if (cars[i].res_mask[(sid // mults[i]) % radices[i]]
+                        & cars[j].res_mask[(sid // mults[j]) % radices[j]]):
                     succs.append((self._collide_code, sid + mults[cd]))
                     any_fire = True
                     break
 
-        ddelta = 0
-        for i in range(n):
-            d = self._delay_delta[i][cfgs[i]]
-            if d is None:
-                ddelta = None
-                break
-            ddelta += d
         if ddelta is not None:
             succs.append((-1, sid + ddelta))
-
         return succs, enabled, any_fire
+
+    def _row_cache(self) -> List[Tuple[int, int, int, Dict[int, tuple]]]:
+        """Per car i: (divisor, span, live digit index or -1, memo) such
+        that (sid // divisor) % span is the slice of sid holding the digits
+        of cars lo..hi, the first and last in cars order of i and the cars
+        in sees[i] and seen_by[i]; with i's live observer digit appended,
+        that key fixes every digit _car_row reads."""
+        pairs = self._pair_graph()
+        mults, radices = self._mults, self._radices
+        rows = []
+        for i in range(self._ncars):
+            near = (i,) + pairs.sees[i] + pairs.seen_by[i]
+            lo, hi = min(near), max(near)
+            rows.append((mults[hi], mults[lo] * radices[lo] // mults[hi],
+                         self._live_k[i], {}))
+        self._rows = rows
+        return rows
+
+    def _car_row(self, i: int, sid: int) -> Tuple[Tuple[Tuple[int, int], ...], Optional[int]]:
+        """Car i's enabled fires in sid, as ((code, sid delta), ...) in slot
+        order, and the sid delta of its part of the delay step (None when
+        its clock bound blocks waiting).
+
+        Reads only i's digit, the digits of the cars in sees[i] (guards,
+        i's target invariant) and seen_by[i] (their invariants against i's
+        target), and i's live observer digit.
+        """
+        cars, mults, radices = self._cars, self._mults, self._radices
+        pairs = self._pairs
+        table = cars[i]
+        ci = (sid // mults[i]) % radices[i]
+        # lanes of the cars i sees, and of the cars that see i
+        nb_res, nb_occ = [], []
+        for j in pairs.sees[i]:
+            c = (sid // mults[j]) % radices[j]
+            nb_res.append(cars[j].res_mask[c])
+            nb_occ.append(cars[j].occ_mask[c])
+        watchers = []
+        for j in pairs.seen_by[i]:
+            c = (sid // mults[j]) % radices[j]
+            t = cars[j]
+            watchers.append((t.inv[c], t.res_mask[c], t.clm_mask[c]))
+        clm_i = table.clm_mask[ci]
+        k = self._live_k[i]
+
+        fires = []
+        for fd in table.fires[ci]:
+            req = fd.req
+            if req:
+                if req == _REQ_PCSOME or req == _REQ_PCNONE:
+                    hit = False
+                    if clm_i:
+                        for occ in nb_occ:
+                            if clm_i & occ:
+                                hit = True
+                                break
+                    if hit != (req == _REQ_PCSOME):
+                        continue
+                else:   # claim-free
+                    bit = fd.req_bit
+                    blocked = False
+                    for occ in nb_occ:
+                        if bit & occ:
+                            blocked = True
+                            break
+                    if blocked:
+                        continue
+            # invariants in the target state: i's own against the cars it
+            # sees, then those of the cars that see i
+            tgt = fd.target
+            tr = table.res_mask[tgt]
+            tc = table.clm_mask[tgt]
+            ok = True
+            inv_i = table.inv[tgt]
+            if inv_i == _INV_CC:
+                for res in nb_res:
+                    if tr & res:
+                        ok = False
+                        break
+            elif inv_i == _INV_PCNONE and tc:
+                for occ in nb_occ:
+                    if tc & occ:
+                        ok = False
+                        break
+            if ok:
+                tocc = tr | tc
+                for inv_j, res_j, clm_j in watchers:
+                    if inv_j == _INV_CC:
+                        if res_j & tr:
+                            ok = False
+                            break
+                    elif inv_j == _INV_PCNONE:
+                        if clm_j & tocc:
+                            ok = False
+                            break
+            if not ok:
+                continue
+            delta = (tgt - ci) * mults[i]
+            if fd.emit and k >= 0:
+                cur = (sid // mults[k]) % 3
+                nxt = _LIVE_NEXT[fd.emit][cur]
+                if nxt != cur:
+                    delta += (nxt - cur) * mults[k]
+            fires.append(((i << 8) | fd.slot, delta))
+
+        nx = table.delay_next[ci]
+        return tuple(fires), None if nx < 0 else (nx - ci) * mults[i]
 
     def _step_of(self, sid: int, code: int) -> Step:
         if code == -1:
@@ -971,6 +1051,7 @@ class Engine:
 
     # -- reachability (AG) ----------------------------------------------------
 
+    @_drops_rows
     def check_ag(self, bad: Callable[[SystemState], bool],
                  initial: Optional[SystemState] = None) -> Verdict:
         """No reachable state satisfies bad; witness is a shortest bad path."""
@@ -1047,6 +1128,7 @@ class Engine:
 
     # -- inevitability (AF) ---------------------------------------------------
 
+    @_drops_rows
     def check_af(self, good: Callable[[SystemState], bool],
                  initial: Optional[SystemState] = None) -> Verdict:
         """Every fair, non-zeno run eventually satisfies good."""
@@ -1212,6 +1294,7 @@ class Engine:
 
     # -- query dispatch ---------------------------------------------------------
 
+    @_drops_rows
     def run_query(self, query: Query) -> Verdict:
         if isinstance(query, (NoDeadlock, SafetyNoCollision)):
             if isinstance(query, SafetyNoCollision) and self._coll_obs is None:

@@ -412,6 +412,8 @@ def test_pair_probes_share_one_geometry(pa, sa, pb, sb, horizon):
 
 
 def test_formula_successors_match_engine():
+    # one engine walks every reachable state, so later states hit the rows
+    # that earlier ones memoised
     fig = three_lane_fig1("original")
     roads = [
         (fig.lane_count, [(c.name, c.lane, c.pos, c.size) for c in fig.cars],
@@ -426,6 +428,17 @@ def test_formula_successors_match_engine():
         # at horizon 5 only B sees A, so A's fires meet B's invariant only
         roads.append((2, [("A", 0, 0, 10), ("B", 1, 5, 10)],
                       {"variant": variant, "horizon": 5}))
+        # a three-car chain (A-B, B-C), every car watched: the row keys
+        # carry live observer digits
+        roads.append((3, [("A", 0, 0, 4), ("B", 2, 3, 4), ("C", 0, 6, 4)],
+                      {"variant": variant, "collision_observer": True,
+                       "live_observers": ("A", "B", "C")}))
+    # A and B interact, C far away sits between them in cars order, so the
+    # row keys of A and B span C's digit
+    roads.append((2, [("A", 0, 0, 4), ("C", 1, 40, 4), ("B", 1, 2, 4)],
+                  {"collision_observer": True}))
+    roads.append((3, [("A", 0, 0, 4), ("B", 2, 2, 4)],
+                  {"normalize": False, "clock_cap": 6}))
     for lanes, cars, kwargs in roads:
         eng = Engine(lanes, cars, **kwargs)
         probed = Engine(lanes, cars, guard_mode="mlsl", **kwargs)
@@ -441,6 +454,68 @@ def test_formula_successors_match_engine():
                 if s2 not in seen:
                     seen.add(s2)
                     stack.append(s2)
+
+
+def _answer(v):
+    return (v.outcome, v.states, v.explored, v.note, v.witness)
+
+
+def test_row_memo_cap_and_lifetime(monkeypatch):
+    def answers():
+        out = []
+        for sc in (fig1, three_lane_fig1):
+            for variant in ("original", "original-plus-tw", "live"):
+                for query in ALL_QUERIES:
+                    eng = Engine.for_query(sc(variant), query)
+                    out.append(_answer(eng.run_query(query)))
+                    assert eng._rows is None
+        eng = Engine.for_query(three_lane_fig1(), LivenessCar("A"))
+        out.append(_answer(eng.check_ag(lambda s: False)))
+        assert eng._rows is None
+        out.append(_answer(eng.check_af(lambda s: False)))
+        assert eng._rows is None
+        return out
+
+    want = answers()
+    monkeypatch.setattr(checker, "_ROW_LIMIT", 1)
+    expand = Engine._expand
+    largest = []
+
+    def spy(self, sid):
+        out = expand(self, sid)
+        largest.append(max(len(memo) for *_, memo in self._rows))
+        return out
+
+    monkeypatch.setattr(Engine, "_expand", spy)
+    assert answers() == want
+    assert max(largest) == 1
+
+
+def test_row_memo_misses_on_a_dense_chain(monkeypatch):
+    # the first road of the benchmark's dense workload (seed 1, round 0):
+    # one interaction group, each car overlapping only its neighbours
+    eng = Engine(4, [("A", 1, 10, 4), ("B", 3, 13, 5), ("C", 0, 17, 6), ("D", 2, 22, 5)],
+                 collision_observer=True)
+    misses = [0] * 4
+    expansions = []
+    car_row, expand = Engine._car_row, Engine._expand
+
+    def count_miss(self, i, sid):
+        misses[i] += 1
+        return car_row(self, i, sid)
+
+    def count_expansion(self, sid):
+        expansions.append(sid)
+        return expand(self, sid)
+
+    monkeypatch.setattr(Engine, "_car_row", count_miss)
+    monkeypatch.setattr(Engine, "_expand", count_expansion)
+    v = eng.run_query(SafetyNoCollision())
+    assert (v.outcome, v.states) == ("holds", 151_348)
+    assert len(expansions) == 151_348
+    # A and D key on two cars, B and C on three
+    assert misses == [417, 8365, 8365, 417]
+    assert sum(misses) < 0.15 * len(expansions)
 
 
 def test_bad_guard_mode():
