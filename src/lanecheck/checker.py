@@ -17,11 +17,13 @@ Two query styles are supported:
 * ``check_ag``: no reachable state satisfies ``bad``; counterexamples are
   shortest paths.
 * ``check_af``: every divergence-free, fair run eventually satisfies
-  ``good``; counterexamples are lassos (or finite runs into a stuck
-  state).  A cycle avoiding ``good`` counts as a counterexample when it is
-  zero-delay (time never advances), or when every controller enabled
-  somewhere on the cycle's strongly connected component also fires inside
-  it, so no controller is starved by the scheduler.
+  ``good``.  In the region reachable without passing a ``good`` state, a
+  counterexample is a finite run into a stuck state (nothing can fire or
+  delay), or a lasso whose cycle, inside one strongly connected component
+  (SCC) of the region, is zero-delay (time never advances) or fair: every
+  controller enabled anywhere in the SCC fires inside it.  Weak fairness
+  asks that only of controllers enabled all along the cycle, so it counts
+  more cycles.  The README and the test oracles refer here for this rule.
 
 There is one successor generator; ``guard_mode`` only selects how its
 static per-pair overlap tables are decided (see ``Engine``).
@@ -89,8 +91,6 @@ DEFAULT_STATE_BUDGET = 10_000_000
 
 # dense visited bitmaps up to this many addressable states (32 MB)
 _BITMAP_LIMIT = 1 << 28
-# beyond this many stored parents, give up on materializing a witness
-_WITNESS_LIMIT = 4_000_000
 # successor rows memoised per car and query (Engine._expand), about 240 B
 # each; misses past this many are computed and not stored
 _ROW_LIMIT = 1 << 14
@@ -293,8 +293,6 @@ class Verdict:
 _INV_NONE, _INV_CC, _INV_PCNONE = 0, 1, 2
 _REQ_NONE, _REQ_PCSOME, _REQ_PCNONE, _REQ_CLAIMFREE = 0, 1, 2, 3
 _EMIT_CODE = {None: 0, "claiming": 1, "reserving": 2, "withdrawing": 3}
-# live observer transition table, indexed [emit code][current location]
-_LIVE_NEXT = {1: (1, 1, 1), 2: (0, 2, 2), 3: (0, 0, 2)}
 
 _INV_KIND = {None: _INV_NONE, "cc": _INV_CC, "pc-none": _INV_PCNONE}
 
@@ -310,6 +308,15 @@ def _loc_masks(loc_name: str, n: int, l: int) -> Tuple[int, int]:
     if loc_name == "changing":
         return (1 << n) | (1 << l), 0
     raise CheckerError(f"unknown controller location {loc_name!r}")
+
+
+def _heard(obs: Automaton) -> Dict[int, Tuple[int, ...]]:
+    """An observer's location after it hears a controller's emission,
+    [emit code][location]: along its recv edge, or staying put without one."""
+    locs = [loc.name for loc in obs.locations]
+    recv = {(e.source, e.recv): locs.index(e.target) for e in obs.edges if e.recv}
+    return {code: tuple(recv.get((here, chan), k) for k, here in enumerate(locs))
+            for chan, code in _EMIT_CODE.items() if chan is not None}
 
 
 @dataclass(frozen=True)
@@ -670,6 +677,8 @@ class Engine:
         self._live_cars: Tuple[str, ...] = tuple(w for w, _ in live)
         self._live_obs = tuple(obs for _, obs in live)
         self._live_index = {w: k for k, w in enumerate(self._live_cars)}
+        # every observer, in the order of their digits after the cars'
+        self._observers = ((coll_obs,) if coll_obs is not None else ()) + self._live_obs
         # neighbour lists and groups, read from the pair tables on first use
         self._pairs: Optional[_Pairs] = None
         # per-car successor rows, built on the first expansion (_row_cache)
@@ -689,12 +698,13 @@ class Engine:
         self._live_digit0 = n + (1 if coll_obs is not None else 0)
         self._collide_code = n << 8
 
-        # per-car live observer digit index (-1 for unwatched cars)
-        self._live_k = [
-            self._live_digit0 + self._live_index[t.name]
-            if t.name in self._live_index else -1
-            for t in tables
-        ]
+        # per car: its live observer's digit index, and that observer's
+        # transitions (_heard); -1 and None for unwatched cars
+        watched = dict(live)
+        self._live_k = [self._live_digit0 + self._live_index[t.name]
+                        if t.name in watched else -1 for t in tables]
+        self._live_next = [_heard(watched[t.name]) if t.name in watched else None
+                           for t in tables]
 
         init_digits = [t.initial for t in tables] + [0] * (len(radices) - n)
         self._initial_sid = self._pack_digits(init_digits)
@@ -970,7 +980,7 @@ class Engine:
             delta = (tgt - ci) * mults[i]
             if fd.emit and k >= 0:
                 cur = (sid // mults[k]) % 3
-                nxt = _LIVE_NEXT[fd.emit][cur]
+                nxt = self._live_next[i][fd.emit][cur]
                 if nxt != cur:
                     delta += (nxt - cur) * mults[k]
             fires.append(((i << 8) | fd.slot, delta))
@@ -993,7 +1003,6 @@ class Engine:
 
     def _to_state(self, sid: int) -> SystemState:
         digits = self._unpack(sid)
-        n = self._ncars
         locations = []
         clocks = []
         registers = []
@@ -1002,14 +1011,10 @@ class Engine:
             locations.append((table.name, table.loc_names[li]))
             clocks.append((table.name, x))
             registers.append((table.name, (cn, cl)))
-        if self._coll_obs is not None:
-            locations.append((self._coll_obs.name,
-                              self._coll_obs.locations[digits[self._coll_digit]].name))
-        for k, obs in enumerate(self._live_obs):
-            locations.append((obs.name,
-                              obs.locations[digits[self._live_digit0 + k]].name))
+        for obs, d in zip(self._observers, digits[self._ncars:]):
+            locations.append((obs.name, obs.locations[d].name))
         return SystemState(
-            snapshot=self._snapshot_of(digits[:n]),
+            snapshot=self._snapshot_of(digits[:self._ncars]),
             locations=tuple(locations),
             clocks=tuple(clocks),
             registers=tuple(registers),
@@ -1029,10 +1034,7 @@ class Engine:
                     f"is not an engine configuration"
                 )
             digits.append(ci)
-        if self._coll_obs is not None:
-            loc = state.location(self._coll_obs.name)
-            digits.append([l.name for l in self._coll_obs.locations].index(loc))
-        for obs in self._live_obs:
+        for obs in self._observers:
             loc = state.location(obs.name)
             digits.append([l.name for l in obs.locations].index(loc))
         return self._pack_digits(digits)
@@ -1056,30 +1058,24 @@ class Engine:
                  initial: Optional[SystemState] = None) -> Verdict:
         """No reachable state satisfies bad; witness is a shortest bad path."""
         init = self._initial_sid if initial is None else self._pack_state(initial)
-        return self._ag(lambda sid, exp: bad(self._to_state(sid)),
-                        needs_expansion=False, initial_sid=init)
+        return self._ag(init, lambda sid, exp: bad(self._to_state(sid)),
+                        needs_expansion=False)
 
-    def _ag(self, bad, *, needs_expansion: bool, initial_sid: Optional[int] = None,
-            force_parents: bool = False) -> Verdict:
-        init = self._initial_sid if initial_sid is None else initial_sid
-        track = force_parents or self.state_space <= _WITNESS_LIMIT
-        parents: Optional[Dict[int, Tuple[int, int]]] = {} if track else None
+    def _ag(self, init: int, bad, *, needs_expansion: bool) -> Verdict:
+        verdict, found = self._ag_search(init, bad, needs_expansion)
+        if found is None:
+            return verdict
+        # the search and its visited set are gone; a second BFS meets the
+        # states in the same order and stops where found was first reached
+        return replace(verdict, witness=self._trace(
+            init, lambda sid: self._expand(sid)[0], found))
 
-        def conclude_fail(found: int, states: int) -> Verdict:
-            if parents is not None:
-                return Verdict("fails", states=states,
-                               witness=self._path_trace(init, parents, found))
-            if not force_parents:
-                # the bad state is usually shallow; redo the search keeping
-                # parent links so a witness can be materialized
-                return self._ag(bad, needs_expansion=needs_expansion,
-                                initial_sid=init, force_parents=True)
-            return Verdict("fails", states=states,
-                           note="witness suppressed: state space too large")
-
+    def _ag_search(self, init: int, bad,
+                   needs_expansion: bool) -> Tuple[Verdict, Optional[int]]:
+        """Breadth-first search for a bad state that stores no parents: the
+        verdict without its witness, and the bad state, if one was found."""
         if not needs_expansion and bad(init, None):
-            return Verdict("fails", witness=self._path_trace(init, {}, init), states=1)
-
+            return Verdict("fails", states=1), init
         visited = _Visited(self.state_space)
         visited.add(init)
         states = 1
@@ -1089,42 +1085,52 @@ class Engine:
             for sid in frontier:
                 expansion = self._expand(sid)
                 if needs_expansion and bad(sid, expansion):
-                    return conclude_fail(sid, states)
+                    return Verdict("fails", states=states), sid
                 for code, s2 in expansion[0]:
                     if visited.add(s2):
                         if states >= self.budget:
                             return Verdict(
                                 "inconclusive", states=states,
-                                note=f"state budget {self.budget} exhausted")
+                                note=f"state budget {self.budget} exhausted"), None
                         states += 1
-                        if parents is not None:
-                            parents[s2] = (sid, code)
-                            if len(parents) > _WITNESS_LIMIT:
-                                parents = None
                         if not needs_expansion and bad(s2, None):
-                            return conclude_fail(s2, states)
+                            return Verdict("fails", states=states), s2
                         nxt.append(s2)
             frontier = nxt
-        return Verdict("holds", states=states)
+        return Verdict("holds", states=states), None
 
-    def _path_trace(self, init: int, parents: Mapping[int, Tuple[int, int]],
-                    goal: int) -> Trace:
-        chain = []
-        cur = goal
-        while cur != init:
-            psid, code = parents[cur]
-            chain.append((psid, code, cur))
-            cur = psid
-        chain.reverse()
-        return self._materialize(init, chain, cycle_start=None)
+    @staticmethod
+    def _bfs_path(start: int, succ, stop) -> List[Tuple[int, int, int]]:
+        """The first walk from start, in breadth-first order over the edges
+        (code, s2) of succ(sid), whose last edge satisfies stop(code, s2), as
+        (sid, code, s2) triples.  Every witness is built from such walks."""
+        prev: Dict[int, Optional[Tuple[int, int, int]]] = {start: None}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for sid in frontier:
+                for code, s2 in succ(sid):
+                    if stop(code, s2):
+                        walk = [(sid, code, s2)]
+                        while prev[walk[-1][0]] is not None:
+                            walk.append(prev[walk[-1][0]])
+                        return walk[::-1]
+                    if s2 not in prev:
+                        prev[s2] = (sid, code, s2)
+                        nxt.append(s2)
+            frontier = nxt
+        raise CheckerError("no walk reaches the stop edge")
 
-    def _materialize(self, init: int, edges: Sequence[Tuple[int, int, int]],
-                     cycle_start: Optional[int]) -> Trace:
-        steps = []
-        for sid, code, s2 in edges:
-            steps.append((self._step_of(sid, code), self._to_state(s2)))
-        return Trace(initial=self._to_state(init), steps=tuple(steps),
-                     cycle_start=cycle_start)
+    def _trace(self, init: int, succ, goal: int,
+               cycle: Sequence[Tuple[int, int, int]] = ()) -> Trace:
+        """The first walk from init to goal over succ, then cycle (a closed
+        walk from goal) when one is given."""
+        stem = [] if goal == init else self._bfs_path(
+            init, succ, lambda code, s2: s2 == goal)
+        steps = tuple((self._step_of(sid, code), self._to_state(s2))
+                      for sid, code, s2 in stem + list(cycle))
+        return Trace(initial=self._to_state(init), steps=steps,
+                     cycle_start=len(stem) if cycle else None)
 
     # -- inevitability (AF) ---------------------------------------------------
 
@@ -1133,30 +1139,27 @@ class Engine:
                  initial: Optional[SystemState] = None) -> Verdict:
         """Every fair, non-zeno run eventually satisfies good."""
         init = self._initial_sid if initial is None else self._pack_state(initial)
-        return self._af(lambda sid: good(self._to_state(sid)), initial_sid=init)
+        return self._af(init, lambda sid: good(self._to_state(sid)))
 
-    def _af(self, good, *, initial_sid: Optional[int] = None) -> Verdict:
-        init = self._initial_sid if initial_sid is None else initial_sid
+    def _af(self, init: int, good) -> Verdict:
         if good(init):
             return Verdict("holds", states=1)
 
-        # region: all states reachable without passing through a good state
-        edges: Dict[int, List[Tuple[int, int]]] = {}
+        # region: all states reachable without passing through a good state,
+        # each with its edges into the region, in _expand order
+        edges: Dict[int, List[Tuple[int, int]]] = {init: []}
         enabled: Dict[int, int] = {}
-        parents: Dict[int, Tuple[int, int]] = {}
         frontier = [init]
-        edges[init] = []
         while frontier:
             nxt = []
             for sid in frontier:
-                succs, en, _ = self._expand(sid)
-                enabled[sid] = en
+                succs, enabled[sid], _ = self._expand(sid)
                 if not succs:
-                    # stuck state: no run from here can reach good
-                    return Verdict(
-                        "fails", states=len(edges),
-                        witness=self._path_trace(init, parents, sid),
-                        note="run reaches a stuck state")
+                    # stuck state: no run from here can reach good.  Every
+                    # shallower state is expanded: edges hold the search's walk
+                    return Verdict("fails", states=len(edges),
+                                   witness=self._trace(init, edges.__getitem__, sid),
+                                   note="run reaches a stuck state")
                 kept = []
                 for code, s2 in succs:
                     if s2 not in edges and not good(s2):
@@ -1165,132 +1168,56 @@ class Engine:
                                 "inconclusive", states=len(edges),
                                 note=f"state budget {self.budget} exhausted")
                         edges[s2] = []
-                        parents[s2] = (sid, code)
                         nxt.append(s2)
                     if s2 in edges:
                         kept.append((code, s2))
                 edges[sid] = kept
             frontier = nxt
 
-        # zeno counterexample: a cycle of fires, time never advancing
-        fire_adj = {
-            sid: [s2 for code, s2 in out if code != -1]
-            for sid, out in edges.items()
-        }
-        for scc in _tarjan(fire_adj):
-            comp = set(scc)
-            if not _has_internal_edge(comp, fire_adj):
-                continue
-            fired = 0
-            for sid in scc:
-                for code, s2 in edges[sid]:
-                    if code != -1 and (code >> 8) < self._ncars and s2 in comp:
-                        fired |= 1 << (code >> 8)
-            cyc = self._cover_cycle(scc[0], comp, edges, fired, fire_only=True)
-            return self._lasso(init, parents, cyc, len(edges),
-                               note="zero-delay cycle avoids the goal")
-
-        # fair counterexample: an SCC where every controller that is ever
-        # enabled also fires, so no fairness assumption rules the loop out
-        full_adj = {sid: [s2 for _, s2 in out] for sid, out in edges.items()}
-        for scc in _tarjan(full_adj):
-            comp = set(scc)
-            if not _has_internal_edge(comp, full_adj):
-                continue
-            en = 0
-            for sid in scc:
-                en |= enabled[sid]
-            fired = 0
-            for sid in scc:
-                for code, s2 in edges[sid]:
-                    if code != -1 and (code >> 8) < self._ncars and s2 in comp:
-                        fired |= 1 << (code >> 8)
-            if en & ~fired:
-                continue
-            cyc = self._cover_cycle(scc[0], comp, edges, en, fire_only=False)
-            return self._lasso(init, parents, cyc, len(edges),
-                               note="fair cycle avoids the goal")
-
+        # zero-delay cycles first (fire edges only), then fair ones: SCCs
+        # where every controller ever enabled also fires
+        for fire_only in (True, False):
+            for scc in _tarjan(edges, fire_only):
+                comp = set(scc)
+                internal, fired = False, 0
+                for sid in scc:
+                    for code, s2 in edges[sid]:
+                        if s2 in comp and (code != -1 or not fire_only):
+                            internal = True
+                            if code != -1 and (code >> 8) < self._ncars:
+                                fired |= 1 << (code >> 8)
+                if not internal:
+                    continue
+                if fire_only:
+                    needed, note = fired, "zero-delay cycle avoids the goal"
+                else:
+                    needed, note = 0, "fair cycle avoids the goal"
+                    for sid in scc:
+                        needed |= enabled[sid]
+                    if needed & ~fired:
+                        continue
+                cycle = self._cover_cycle(scc[0], comp, edges, needed, fire_only)
+                trace = self._trace(init, edges.__getitem__, cycle[0][0], cycle)
+                return Verdict("fails", states=len(edges), note=note, witness=trace)
         return Verdict("holds", states=len(edges))
 
-    def _lasso(self, init, parents, cycle_edges, states, note) -> Verdict:
-        entry = cycle_edges[0][0]
-        stem = []
-        cur = entry
-        while cur != init:
-            psid, code = parents[cur]
-            stem.append((psid, code, cur))
-            cur = psid
-        stem.reverse()
-        trace = self._materialize(init, stem + list(cycle_edges),
-                                  cycle_start=len(stem))
-        return Verdict("fails", witness=trace, states=states, note=note)
-
     def _cover_cycle(self, start: int, comp: Set[int], edges,
-                     needed_mask: int, *, fire_only: bool) -> List[Tuple[int, int, int]]:
+                     needed_mask: int, fire_only: bool) -> List[Tuple[int, int, int]]:
         """A closed walk from start inside the SCC that fires every
-        controller in needed_mask at least once."""
+        controller in needed_mask at least once; no delays when fire_only."""
+        def inside(sid: int) -> List[Tuple[int, int]]:
+            return [(code, s2) for code, s2 in edges[sid]
+                    if s2 in comp and (code != -1 or not fire_only)]
         walk: List[Tuple[int, int, int]] = []
         cur = start
         for i in range(self._ncars):
-            if not needed_mask & (1 << i):
-                continue
-            leg = self._bfs_to_fire(cur, comp, edges, i, fire_only)
-            walk.extend(leg)
-            cur = leg[-1][2]
+            if needed_mask >> i & 1:
+                # ends with a fire of controller i (the delay's -1 >> 8 is -1)
+                walk += self._bfs_path(cur, inside, lambda code, s2: code >> 8 == i)
+                cur = walk[-1][2]
         if cur != start or not walk:
-            walk.extend(self._bfs_to_node(cur, comp, edges, start,
-                                          need_step=not walk,
-                                          fire_only=fire_only))
+            walk += self._bfs_path(cur, inside, lambda code, s2: s2 == start)
         return walk
-
-    def _bfs_to_fire(self, start: int, comp: Set[int], edges, actor: int,
-                     fire_only: bool):
-        """Shortest walk inside the SCC ending with a fire of the actor."""
-        return self._bfs_in_scc(
-            start, comp, edges, fire_only,
-            lambda code, s2: code != -1 and (code >> 8) == actor)
-
-    def _bfs_to_node(self, start: int, comp: Set[int], edges, goal: int,
-                     *, need_step: bool, fire_only: bool):
-        """Shortest walk inside the SCC from start to goal (>=1 step if asked)."""
-        if start == goal and not need_step:
-            return []
-        return self._bfs_in_scc(start, comp, edges, fire_only,
-                                lambda code, s2: s2 == goal)
-
-    def _bfs_in_scc(self, start: int, comp: Set[int], edges, fire_only: bool,
-                    stop: Callable[[int, int], bool]):
-        """Shortest walk inside the SCC from start whose last edge
-        (code, s2) satisfies stop; delays are skipped when fire_only."""
-        prev: Dict[int, Tuple[int, int, int]] = {}
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            nxt = []
-            for sid in frontier:
-                for code, s2 in edges[sid]:
-                    if s2 not in comp or (fire_only and code == -1):
-                        continue
-                    if stop(code, s2):
-                        return self._unwind(prev, start, sid) + [(sid, code, s2)]
-                    if s2 not in seen:
-                        seen.add(s2)
-                        prev[s2] = (sid, code, s2)
-                        nxt.append(s2)
-            frontier = nxt
-        raise CheckerError("SCC walk found no edge to stop at")
-
-    @staticmethod
-    def _unwind(prev, start, end):
-        path = []
-        cur = end
-        while cur != start:
-            edge = prev[cur]
-            path.append(edge)
-            cur = edge[0]
-        path.reverse()
-        return path
 
     # -- query dispatch ---------------------------------------------------------
 
@@ -1308,15 +1235,15 @@ class Engine:
             def goal(sid):
                 return any((sid // mults[k]) % 3 == 2 for k in ks)
 
-            return self._af(goal)
+            return self._af(self._initial_sid, goal)
         raise CheckerError(f"unknown query {query!r}")
 
     def _ag_query(self, query: Query) -> Verdict:
         """The monolithic search for NoDeadlock or SafetyNoCollision."""
         if isinstance(query, NoDeadlock):
-            return self._ag(self._deadlock_from, needs_expansion=True)
+            return self._ag(self._initial_sid, self._deadlock_from, needs_expansion=True)
         unsafe = self._mults[self._coll_digit]
-        return self._ag(lambda sid, exp: (sid // unsafe) % 2 == 1,
+        return self._ag(self._initial_sid, lambda sid, exp: (sid // unsafe) % 2 == 1,
                         needs_expansion=False)
 
     def _ag_by_group(self, query: Query) -> Verdict:
@@ -1361,22 +1288,15 @@ class Engine:
 
     def _deadlock_from(self, sid: int, expansion) -> bool:
         succs, _, any_fire = expansion
-        if any_fire:
-            return False
-        if not succs:
-            return True
-        # only delays from here on; follow them until a fire shows up
         seen = {sid}
-        cur = succs[-1][1]
-        while cur not in seen:
-            seen.add(cur)
-            succs, _, any_fire = self._expand(cur)
-            if any_fire:
-                return False
-            if not succs:
+        while succs and not any_fire:
+            # only the delay is left; follow delays until a fire shows up
+            sid = succs[-1][1]
+            if sid in seen:
                 return True
-            cur = succs[-1][1]
-        return True
+            seen.add(sid)
+            succs, _, any_fire = self._expand(sid)
+        return not any_fire
 
     @classmethod
     def for_query(cls, sc: Scenario, query: Query, **kwargs) -> "Engine":
@@ -1453,57 +1373,45 @@ class _Visited:
         return True
 
 
-def _tarjan(adj: Mapping[int, List[int]]) -> List[List[int]]:
-    """Strongly connected components, iterative, in a deterministic order."""
+def _tarjan(edges: Mapping[int, List[Tuple[int, int]]],
+            fire_only: bool) -> List[List[int]]:
+    """Strongly connected components of the region graph, over its fire
+    edges alone when fire_only; iterative, in a deterministic order."""
+    def adj(v: int):
+        return (s2 for code, s2 in edges[v] if code != -1 or not fire_only)
+
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
-    onstack: Set[int] = set()
     stack: List[int] = []
     sccs: List[List[int]] = []
-    counter = 0
-
-    for root in adj:
+    for root in edges:
         if root in index:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        onstack.add(root)
+        work = [(root, adj(root))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
+                    work.append((w, adj(w)))
                     break
-                if w in onstack and index[w] < low[v]:
+                if index[w] < low[v]:
                     low[v] = index[w]
-            if not advanced:
+            else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
                     comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        # off the stack: an index above all others never lowers low
+                        index[comp[-1]] = len(edges)
                     sccs.append(comp)
     return sccs
-
-
-def _has_internal_edge(comp: Set[int], adj: Mapping[int, List[int]]) -> bool:
-    return any(s2 in comp for sid in comp for s2 in adj[sid])
 
 
 # ---------------------------------------------------------------------------

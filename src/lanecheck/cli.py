@@ -229,7 +229,7 @@ def _cmd_eval(args) -> int:
         raise _UsageError(f"bad formula: {exc}") from exc
     view = traffic.standard_view(ts, args.car, horizon)
     try:
-        result = mlsl.eval(ts, view, {"ego": args.car}, phi, chop_mode=args.chop_mode)
+        result = mlsl.eval(ts, view, {"ego": args.car}, phi)
     except mlsl.EvalError as exc:
         raise _UsageError(f"cannot evaluate: {exc}") from exc
 
@@ -424,9 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument(
         "--horizon", type=int, default=None,
         help="view half-length (default: the scenario's horizon)")
-    p_eval.add_argument(
-        "--chop-mode", choices=("fast", "sweep"), default="fast",
-        help="horizontal chop strategy (sweep is the slow reference)")
     p_eval.add_argument(
         "--json", action="store_true", help="machine-readable output")
     p_eval.set_defaults(func=_cmd_eval)

@@ -394,14 +394,13 @@ def _free_vars(f: Formula) -> Tuple[str, ...]:
 
 
 class _Ctx:
-    __slots__ = ("names", "ext", "res", "clm", "mode", "memo", "lo", "hi", "near", "fv")
+    __slots__ = ("names", "ext", "res", "clm", "memo", "lo", "hi", "near", "fv")
 
-    def __init__(self, ts: TrafficSnapshot, mode: str, extent: Extent):
+    def __init__(self, ts: TrafficSnapshot, extent: Extent):
         self.names = tuple(sorted(ts.cars))
         self.ext = {n: (ts.cars[n].pos, ts.cars[n].pos + ts.cars[n].size) for n in self.names}
         self.res = {n: ts.cars[n].res for n in self.names}
         self.clm = {n: ts.cars[n].clm for n in self.names}
-        self.mode = mode
         # nested chops revisit the same node on the same subview many
         # times, once per split combination above it; results only depend
         # on the subview and the node's free-variable bindings
@@ -413,29 +412,6 @@ class _Ctx:
     def visible(self, r: int, t: int) -> Tuple[str, ...]:
         ext = self.ext
         return tuple(n for n in self.names if ext[n][0] <= t and ext[n][1] >= r)
-
-
-def _chop_points(ctx: _Ctx, f: HChop, r: int, t: int) -> List[int]:
-    if ctx.mode == "sweep":
-        return list(range(r, t + 1))
-    anchors = {r, t}
-    for n in ctx.names:
-        a, b = ctx.ext[n]
-        if a <= t and b >= r:
-            anchors.add(max(a, r))
-            anchors.add(min(b, t))
-    # split points are not always car endpoints: chopping free space, or a
-    # car's extent into several atom pieces, needs interior points, one per
-    # chop below this one; widening every anchor by the chop count restores
-    # completeness (tests cross-check against the sweep mode)
-    k = _hchop_count(f.left) + _hchop_count(f.right) + 1
-    pts = set()
-    for a in anchors:
-        for d in range(-k, k + 1):
-            s = a + d
-            if r <= s <= t:
-                pts.add(s)
-    return sorted(pts)
 
 
 def _eval(ctx: _Ctx, ll: int, ln: int, r: int, t: int, nu: Dict[str, Union[str, int]], f: Formula) -> bool:
@@ -490,7 +466,7 @@ def _eval(ctx: _Ctx, ll: int, ln: int, r: int, t: int, nu: Dict[str, Union[str, 
         if hit is not _MISSING:
             return hit
         result = False
-        for s in _chop_points(ctx, f, r, t):
+        for s in range(r, t + 1):
             if _eval(ctx, ll, ln, r, s, nu, f.left) and _eval(ctx, ll, ln, s, t, nu, f.right):
                 result = True
                 break
@@ -520,9 +496,9 @@ def _span(ctx: _Ctx, x: int, y: int) -> int:
 def _row(ctx: _Ctx, ll: int, ln: int, r: int, nu: Dict[str, Union[str, int]], f: Formula) -> int:
     """The right ends t in [r, hi] where f holds on lanes ll..ln, extent [r, t].
 
-    Bit t - lo of the result stands for t.  Gives exactly the truth values
-    of `_eval` in fast mode, computed once per (node, band, r, binding)
-    instead of once per path of chop points leading there.
+    Bit t - lo of the result stands for t.  Each row is computed once per
+    (node, band, r, binding), not once per path of chop points leading
+    there; a horizontal chop tries only the points named at its case.
     """
     if isinstance(f, TrueF):
         return _span(ctx, r, ctx.hi)
@@ -570,9 +546,14 @@ def _row(ctx: _Ctx, ll: int, ln: int, r: int, nu: Dict[str, Union[str, int]], f:
                 row |= _row(ctx, ll, ln, r, nu, f.sub) & _span(ctx, max(a, r), ctx.hi)
         _restore(nu, f.var, shadowed)
     elif isinstance(f, HChop):
-        # s is a chop point of [r, t] iff it lies within k of r, of t or of
-        # a car endpoint (see _chop_points); only the "within k of t" case
-        # depends on t, and it limits t to s..s+k
+        # the chop points of [r, t]: every s in [r, t] within k of r, of t
+        # or of a car endpoint, where k counts this chop and the chops
+        # below it.  Splits do not always fall on car endpoints: chopping
+        # free space, or a car's extent into several atom pieces, needs
+        # interior points, one per chop below this one, and widening every
+        # anchor by k covers them (tests check this against the sweep of
+        # every point, _eval).  Only the "within k of t" case depends on t,
+        # and it limits t to s..s+k
         k = _hchop_count(f)
         near = ctx.near.get(k)
         if near is None:
@@ -630,18 +611,11 @@ def eval(ts: TrafficSnapshot, view: View, nu: Valuation, phi: Formula,
         raise ValueError(f"chop_mode must be 'fast' or 'sweep', got {chop_mode!r}")
     if "ego" not in nu:
         raise EvalError("valuation must bind 'ego'")
-    ctx = _Ctx(ts, chop_mode, view.extent)
+    ctx = _Ctx(ts, view.extent)
     lo, hi = view.extent.lo, view.extent.hi
     if chop_mode == "sweep":
         return _eval(ctx, view.lane_lo, view.lane_hi, lo, hi, dict(nu), phi)
     return bool(_row(ctx, view.lane_lo, view.lane_hi, lo, dict(nu), phi) >> (hi - lo) & 1)
-
-
-def hchop_candidates(ts: TrafficSnapshot, view: View, f: HChop,
-                     chop_mode: str = "fast") -> Tuple[int, ...]:
-    """The chop points eval would try for f at the top of this view."""
-    ctx = _Ctx(ts, chop_mode, view.extent)
-    return tuple(_chop_points(ctx, f, view.extent.lo, view.extent.hi))
 
 
 # ---------------------------------------------------------------------------

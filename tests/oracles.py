@@ -6,16 +6,19 @@ rest recomputes verdicts from the engine's successor relation only, using plain 
 graph algorithms: a different traversal (iterative DFS vs the checker's
 BFS), different cycle machinery (networkx SCCs vs hand-rolled Tarjan) and
 a different state representation (structured states vs packed integers).
+ag_witness and af_witness rebuild counterexamples from their definition
+as first breadth-first walks, over engine.successors and a deque.
 """
 
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 
 from lanecheck import mlsl, traffic
-from lanecheck.checker import (_INV_CC, _INV_PCNONE, _LIVE_NEXT, _REQ_CLAIMFREE,
-                               _REQ_PCNONE, _REQ_PCSOME, Delay, Engine, Fire,
-                               Step, SystemState)
+from lanecheck.checker import (_INV_CC, _INV_PCNONE, _REQ_CLAIMFREE, _REQ_PCNONE,
+                               _REQ_PCSOME, Delay, Engine, Fire, Step, SystemState,
+                               Trace)
 from lanecheck.traffic import CarState, Extent, View
 
 Adjacency = Dict[SystemState, List[Tuple[Step, SystemState]]]
@@ -66,7 +69,8 @@ def naive_no_deadlock(engine: Engine) -> str:
 
 
 def naive_af(engine: Engine, good: Callable[[SystemState], bool]) -> str:
-    """AF good under the checker's path rules, recomputed with networkx.
+    """AF good under the checker's path rules (stated in the
+    lanecheck.checker module docstring), recomputed with networkx.
 
     A counterexample is a reachable good-free run that is infinite and
     fair, or that gets stuck.  Concretely, inside the region reachable
@@ -129,6 +133,107 @@ def naive_af(engine: Engine, good: Callable[[SystemState], bool]) -> str:
         if enabled <= fired:
             return "fails"  # fair cycle that never reaches the goal
     return "holds"
+
+
+# --- witnesses ------------------------------------------------------------------
+
+
+class Successors(dict):
+    """engine.successors(state) per state, computed on first lookup."""
+
+    def __init__(self, engine: Engine):
+        super().__init__()
+        self.engine = engine
+
+    def __missing__(self, state: SystemState):
+        self[state] = succs = self.engine.successors(state)
+        return succs
+
+
+def first_walk(adj, start: SystemState, stop, keep=lambda step, s2: True):
+    """The walk from start, as (step, state) pairs, whose last step is the
+    first one in breadth-first order over adj's steps that keep(step, s2)
+    allows to satisfy stop(step, s2)."""
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for step, s2 in adj[s]:
+            if not keep(step, s2):
+                continue
+            if stop(step, s2):
+                walk = [(step, s2)]
+                while parent[s] is not None:
+                    prev, prev_step = parent[s]
+                    walk.append((prev_step, s))
+                    s = prev
+                return walk[::-1]
+            if s2 not in parent:
+                parent[s2] = (s, step)
+                queue.append(s2)
+    raise AssertionError("no walk ends in a step that satisfies stop")
+
+
+def ag_witness(engine: Engine, bad: Callable[[SystemState], bool]) -> Trace:
+    """An AG witness by definition: the first walk in breadth-first order
+    from the initial state that reaches a bad state (none if it is bad)."""
+    init = engine.initial_state()
+    steps = () if bad(init) else first_walk(Successors(engine), init,
+                                            lambda step, s2: bad(s2))
+    return Trace(initial=init, steps=tuple(steps))
+
+
+def af_witness(engine: Engine, good: Callable[[SystemState], bool],
+               note: str, entry: Optional[SystemState]) -> Trace:
+    """An AF witness by definition, inside the region of states reachable
+    without a good one.  A stuck run is the first walk to a state with no
+    successor.  A lasso is the first walk to entry, the state the cycle
+    starts at, then the cycle: from entry, for each controller in cars
+    order that it must fire, the first walk inside entry's SCC ending with
+    a fire of it, then the first walk back to entry.  A zero-delay cycle
+    uses fires only and must fire every controller that fires inside the
+    SCC; a fair one must fire every controller enabled anywhere in it."""
+    adj = Successors(engine)
+    init = engine.initial_state()
+
+    def outside(step, s2):
+        return not good(s2)
+
+    if "stuck" in note:
+        steps = () if not adj[init] else first_walk(
+            adj, init, lambda step, s2: not adj[s2], outside)
+        return Trace(initial=init, steps=tuple(steps))
+    zeno = "zero-delay" in note
+    region, stack = set(), [init]
+    while stack:
+        s = stack.pop()
+        if s not in region:
+            region.add(s)
+            stack.extend(s2 for step, s2 in adj[s] if outside(step, s2))
+    graph = nx.DiGraph()
+    graph.add_nodes_from(region)
+    graph.add_edges_from((s, s2) for s in region for step, s2 in adj[s]
+                         if s2 in region and (isinstance(step, Fire) or not zeno))
+    comp = next(c for c in nx.strongly_connected_components(graph) if entry in c)
+    controllers = set(engine.car_names)
+    needed = {step.actor for s in comp for step, s2 in adj[s]
+              if isinstance(step, Fire) and step.actor in controllers
+              and (s2 in comp or not zeno)}
+
+    def inside(step, s2):
+        return s2 in comp and (isinstance(step, Fire) or not zeno)
+
+    stem = [] if entry == init else first_walk(
+        adj, init, lambda step, s2: s2 == entry, outside)
+    cycle, cur = [], entry
+    for name in engine.car_names:
+        if name in needed:
+            cycle += first_walk(adj, cur, lambda step, s2: isinstance(step, Fire)
+                                and step.actor == name, inside)
+            cur = cycle[-1][1]
+    if cur != entry or not cycle:
+        cycle += first_walk(adj, cur, lambda step, s2: s2 == entry, inside)
+    return Trace(initial=init, steps=tuple(stem + cycle), cycle_start=len(stem))
 
 
 def collision_bad(state: SystemState) -> bool:
@@ -201,9 +306,13 @@ def formula_successors(engine: Engine, sid: int, cache: Optional[dict] = None):
             enabled |= 1 << i
             new_digits = list(digits)
             new_digits[i] = fd.target
-            if fd.emit and table.name in engine._live_index:
-                k = engine._live_digit0 + engine._live_index[table.name]
-                new_digits[k] = _LIVE_NEXT[fd.emit][digits[k]]
+            if table.name in engine._live_index:
+                w = engine._live_index[table.name]
+                k = engine._live_digit0 + w
+                loc = table.loc_names[table.configs[cfgs[i]][0]]
+                emit = next(e.emit for e in table.autom.edges_from(loc)
+                            if e.name == fd.edge_name)
+                new_digits[k] = _observer_hears(engine._live_obs[w], digits[k], emit)
             succs.append(((i << 8) | fd.slot, engine._pack_digits(new_digits)))
 
     any_fire = bool(succs)
@@ -218,6 +327,16 @@ def formula_successors(engine: Engine, sid: int, cache: Optional[dict] = None):
     if all(d >= 0 for d in delayed):
         succs.append((-1, engine._pack_digits(delayed + digits[n:])))
     return succs, enabled, any_fire
+
+
+def _observer_hears(obs, here: int, channel) -> int:
+    """The observer's location index after a controller emits on channel:
+    the target of its recv edge for the channel, or here when it has none."""
+    names = [loc.name for loc in obs.locations]
+    for e in obs.edges:
+        if e.source == names[here] and e.recv is not None and e.recv == channel:
+            return names.index(e.target)
+    return here
 
 
 def _formula_answer(engine: Engine, question: str, i, lane, cfgs) -> bool:

@@ -326,6 +326,65 @@ def test_starvation_witness_is_a_fair_cycle():
     replay(trace)
 
 
+def stuck_road():
+    # at horizon 5 only B sees A: A's claim on B's lane looks free to A, but
+    # B's invariant blocks A's reservation, so A waits in confirming until
+    # its clock bound stops time, and B's claims are blocked by A
+    return road(2, [("A", 0, 0, 10), ("B", 1, 5, 10)], "live", horizon=5)
+
+
+def test_stuck_state_witness():
+    eng = Engine.for_query(stuck_road(), LivenessCar("A"))
+    v = eng.run_query(LivenessCar("A"))
+    assert (v.outcome, v.states, v.note) == ("fails", 6, "run reaches a stuck state")
+    last = v.witness.states()[-1]
+    assert last.location("A") == "confirming" and not eng.successors(last)
+    replay(v.witness)
+
+
+def test_witnesses_are_first_breadth_first_walks():
+    dense = [("A", 1, 10, 4), ("B", 3, 13, 5), ("C", 0, 17, 6), ("D", 2, 22, 5)]
+    cases = []
+
+    def ag(eng, bad, v):
+        cases.append((v, oracles.ag_witness(eng, bad)))
+
+    def af(eng, good, v):
+        entry = None if v.witness.cycle_start is None else \
+            v.witness.states()[v.witness.cycle_start]
+        cases.append((v, oracles.af_witness(eng, good, v.note, entry)))
+
+    eng = Engine.for_query(tiny(), NoDeadlock())
+    ag(eng, lambda s: True, eng.check_ag(lambda s: True))
+    eng = Engine(2, [("A", 0, 0, 5), ("B", 0, 3, 5)], collision_observer=True)
+    ag(eng, oracles.collision_bad, eng.run_query(SafetyNoCollision()))
+    eng = Engine.for_query(fig1(), NoDeadlock())
+    confirming = lambda s: s.location("A") == "confirming"
+    ag(eng, confirming, eng.check_ag(confirming))
+    eng = Engine.for_query(tiny("live"), NoDeadlock())
+    adj = oracles.Successors(eng)
+    ag(eng, lambda s: oracles.is_deadlock(adj, s), eng.run_query(NoDeadlock()))
+    # the dense benchmark chain, a large state space
+    eng = Engine(4, dense)
+    assert eng.state_space == 7_311_616
+    both = lambda s: s.location("B") == s.location("C") == "changing"
+    ag(eng, both, eng.check_ag(both))
+    for sc, query in ((tiny("original"), LivenessAny()),
+                      (fig1("original-plus-tw"), LivenessCar("A")),
+                      (stuck_road(), LivenessCar("A"))):
+        eng = Engine.for_query(sc, query)
+        cars = sc.car_names() if isinstance(query, LivenessAny) else [query.car]
+        af(eng, oracles.success_goal(cars), eng.run_query(query))
+
+    notes = [v.note for v, _ in cases]
+    assert [v.outcome for v, _ in cases] == ["fails"] * 8
+    assert [len(v.witness.steps) for v, _ in cases] == [0, 1, 2, 0, 6, 5, 31, 5]
+    assert "zero-delay" in notes[5] and "fair" in notes[6] and "stuck" in notes[7]
+    for v, want in cases:
+        assert v.witness == want, v.note
+        replay(v.witness)
+
+
 # --- verdict equality against the reference implementation -------------------------
 
 

@@ -165,12 +165,13 @@ def test_eval_horizon_narrows_the_view(capsys):
     assert code == 1   # nobody near E itself
 
 
-def test_eval_chop_mode_sweep(capsys):
-    code, out, _ = run_cli(
-        "eval", FIG1, "--car", "B", "--formula", "<cl(ego)> ; true",
-        "--chop-mode", "sweep", capsys=capsys)
-    assert code in (0, 1)   # just exercises the slow path end to end
-    assert out.strip() in ("true", "false")
+def test_eval_has_no_chop_mode_option(capsys):
+    # the sweep evaluator is a test reference, not a command-line setting
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", FIG1, "--car", "B", "--formula", "<cl(ego)> ; true",
+                  "--chop-mode", "sweep"])
+    assert exc.value.code == 3
+    assert "--chop-mode" in capsys.readouterr().err
 
 
 def test_eval_json(capsys):

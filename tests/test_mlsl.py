@@ -21,7 +21,6 @@ from lanecheck.mlsl import (
     cc_formula,
     exists_pc_formula,
     format_formula,
-    hchop_candidates,
     or_,
     parse,
     pc,
@@ -178,17 +177,6 @@ def test_vchop_empty_upper_part():
     v = View(1, 1, Extent(10, 15))
     # the upper band may be empty, so a single-lane view still splits
     assert ev(ts, v, VChop(lower=Re("ego"), upper=TrueF()))
-
-
-def test_hchop_candidates_contain_view_ends():
-    ts = one_car(pos=3, size=4)  # [3, 7]
-    f = HChop(Re("ego"), Free())
-    v = View(1, 1, Extent(0, 20))
-    fast = hchop_candidates(ts, v, f)
-    sweep = hchop_candidates(ts, v, f, chop_mode="sweep")
-    assert {0, 20, 3, 7} <= set(fast)
-    assert set(fast) <= set(sweep)
-    assert list(sweep) == list(range(0, 21))
 
 
 # --- concrete syntax -----------------------------------------------------------
