@@ -64,8 +64,41 @@ search that never meets a bad state ends.  When the road has one group,
 a start is not a delay fixpoint, or any group fails or is inconclusive,
 the monolithic search runs instead, so every failing verdict, its state
 count and its witness are those of the whole product.  ``check_ag`` with
-a caller's predicate is never decomposed.  Liveness stays monolithic:
-its fairness rule looks at every controller at once.
+a caller's predicate is never decomposed.
+
+``LivenessAny`` and ``LivenessCar`` are answered by group as well, but
+only when the answer is ``holds``, under the same gate and with no
+collision observer.  Each group searches the region of its own engine:
+the states reachable without its watched cars' goal, or every reachable
+state in a group without watched cars.  The road holds, with the
+product of the region sizes as its state count (or is inconclusive at
+the budget, as above), when (a) no group region has a stuck state, (b)
+none has a zero-delay cycle, and (c) some group's region starves a
+controller in each SCC with an internal edge: the controller is enabled
+in every state of the SCC and fires on none of its internal edges.
+That is exact:
+
+* With delay-fixpoint starts, the padding argument above shows that the
+  road's region is the product of the group regions: the goal is a
+  disjunction over groups, so a run avoids it exactly when each group's
+  part avoids its own.
+* A product stuck state (no fire anywhere, some group's clock bound
+  blocks the delay) projects onto a stuck state of that group, and a
+  product cycle of fires projects onto a cycle of fires in some group.
+* A product SCC with an internal delay edge projects into one SCC of the
+  group from (c), and that SCC has an internal edge (the delay).  Its
+  starved controller is enabled in every state of the product SCC and
+  fires on none of its internal edges, since such a fire would project
+  onto an internal fire of the group SCC.  So the product SCC is not
+  fair under the rule above, nor does any cycle in it satisfy weak
+  fairness.  A product SCC without an internal delay edge is a cycle of
+  fires, which (b) rules out.
+
+Otherwise the whole road is searched once more, so failing liveness
+verdicts and their witnesses are those of the whole product too; a group
+with a fair cycle of its own does not settle the query but does not
+stop another group from settling it.  ``check_af`` with a caller's
+predicate is never decomposed.
 """
 
 from __future__ import annotations
@@ -1142,8 +1175,19 @@ class Engine:
         return self._af(init, lambda sid: good(self._to_state(sid)))
 
     def _af(self, init: int, good) -> Verdict:
+        verdict, witness, _ = self._af_search(init, good)
+        return verdict if witness is None else replace(verdict, witness=witness())
+
+    def _af_search(self, init: int, good) -> Tuple[
+            Verdict, Optional[Callable[[], Trace]], Optional[bool]]:
+        """The search of _af: its verdict without the witness, a function
+        that builds the witness (None when there is none), and whether the
+        region starves a controller in every SCC with an internal edge: one
+        enabled in each of its states that fires on none of its internal
+        edges.  That is None when a stuck state, a zero-delay cycle or the
+        budget ended the search first, and False once a fair cycle is met."""
         if good(init):
-            return Verdict("holds", states=1)
+            return Verdict("holds", states=1), None, True
 
         # region: all states reachable without passing through a good state,
         # each with its edges into the region, in _expand order
@@ -1157,16 +1201,16 @@ class Engine:
                 if not succs:
                     # stuck state: no run from here can reach good.  Every
                     # shallower state is expanded: edges hold the search's walk
-                    return Verdict("fails", states=len(edges),
-                                   witness=self._trace(init, edges.__getitem__, sid),
-                                   note="run reaches a stuck state")
+                    return (Verdict("fails", states=len(edges),
+                                    note="run reaches a stuck state"),
+                            lambda: self._trace(init, edges.__getitem__, sid), None)
                 kept = []
                 for code, s2 in succs:
                     if s2 not in edges and not good(s2):
                         if len(edges) >= self.budget:
                             return Verdict(
                                 "inconclusive", states=len(edges),
-                                note=f"state budget {self.budget} exhausted")
+                                note=f"state budget {self.budget} exhausted"), None, None
                         edges[s2] = []
                         nxt.append(s2)
                     if s2 in edges:
@@ -1176,6 +1220,7 @@ class Engine:
 
         # zero-delay cycles first (fire edges only), then fair ones: SCCs
         # where every controller ever enabled also fires
+        loose = False       # some SCC with an internal edge starves no controller
         for fire_only in (True, False):
             for scc in _tarjan(edges, fire_only):
                 comp = set(scc)
@@ -1191,15 +1236,20 @@ class Engine:
                 if fire_only:
                     needed, note = fired, "zero-delay cycle avoids the goal"
                 else:
-                    needed, note = 0, "fair cycle avoids the goal"
+                    needed, always, note = 0, -1, "fair cycle avoids the goal"
                     for sid in scc:
                         needed |= enabled[sid]
+                        always &= enabled[sid]
+                    loose = loose or not (always & ~fired)
                     if needed & ~fired:
                         continue
-                cycle = self._cover_cycle(scc[0], comp, edges, needed, fire_only)
-                trace = self._trace(init, edges.__getitem__, cycle[0][0], cycle)
-                return Verdict("fails", states=len(edges), note=note, witness=trace)
-        return Verdict("holds", states=len(edges))
+
+                def witness():
+                    cycle = self._cover_cycle(scc[0], comp, edges, needed, fire_only)
+                    return self._trace(init, edges.__getitem__, cycle[0][0], cycle)
+                return (Verdict("fails", states=len(edges), note=note), witness,
+                        None if fire_only else False)
+        return Verdict("holds", states=len(edges)), None, not loose
 
     def _cover_cycle(self, start: int, comp: Set[int], edges,
                      needed_mask: int, fire_only: bool) -> List[Tuple[int, int, int]]:
@@ -1223,51 +1273,73 @@ class Engine:
 
     @_drops_rows
     def run_query(self, query: Query) -> Verdict:
-        if isinstance(query, (NoDeadlock, SafetyNoCollision)):
-            if isinstance(query, SafetyNoCollision) and self._coll_obs is None:
-                raise CheckerError("engine was built without the collision observer")
-            return self._ag_by_group(query)
-        if isinstance(query, (LivenessAny, LivenessCar)):
-            watched = self._liveness_targets(query)
-            ks = [self._live_digit0 + self._live_index[w] for w in watched]
-            mults = self._mults
+        if not isinstance(query, (NoDeadlock, SafetyNoCollision, LivenessAny, LivenessCar)):
+            raise CheckerError(f"unknown query {query!r}")
+        if isinstance(query, SafetyNoCollision) and self._coll_obs is None:
+            raise CheckerError("engine was built without the collision observer")
+        return self._by_group(query)
 
-            def goal(sid):
-                return any((sid // mults[k]) % 3 == 2 for k in ks)
-
-            return self._af(self._initial_sid, goal)
-        raise CheckerError(f"unknown query {query!r}")
-
-    def _ag_query(self, query: Query) -> Verdict:
-        """The monolithic search for NoDeadlock or SafetyNoCollision."""
+    def _whole(self, query: Query) -> Verdict:
+        """The monolithic search for query."""
         if isinstance(query, NoDeadlock):
             return self._ag(self._initial_sid, self._deadlock_from, needs_expansion=True)
-        unsafe = self._mults[self._coll_digit]
-        return self._ag(self._initial_sid, lambda sid, exp: (sid // unsafe) % 2 == 1,
-                        needs_expansion=False)
+        if isinstance(query, SafetyNoCollision):
+            unsafe = self._mults[self._coll_digit]
+            return self._ag(self._initial_sid, lambda sid, exp: (sid // unsafe) % 2 == 1,
+                            needs_expansion=False)
+        return self._af(self._initial_sid, self._goal(self._liveness_targets(query)))
 
-    def _ag_by_group(self, query: Query) -> Verdict:
-        """_ag_query one interaction group at a time, when that is exact
-        (see the module docstring); otherwise, or when a group does not
-        hold, the monolithic search."""
+    def _goal(self, watched: Sequence[str]) -> Callable[[int], bool]:
+        """Whether some car of watched that this engine observes has
+        completed a lane change in a state."""
+        mults = self._mults
+        ks = [self._live_digit0 + k for w, k in self._live_index.items() if w in watched]
+        return lambda sid: any((sid // mults[k]) % 3 == 2 for k in ks)
+
+    def _by_group(self, query: Query) -> Verdict:
+        """query one interaction group at a time, when that is exact (see
+        the module docstring); otherwise, or when the groups do not settle
+        it, the monolithic search.
+
+        The product is the answer when no group rules it out and some
+        group settles it (_group_part)."""
+        liveness = isinstance(query, (LivenessAny, LivenessCar))
+        watched = self._liveness_targets(query) if liveness else ()
         groups = self._pair_graph().groups
         explored = 0
-        if len(groups) > 1 and all(t.delay_next[t.initial] == t.initial
-                                   for t in self._cars):
-            product = 1
+        if (len(groups) > 1 and not (liveness and self._coll_obs is not None)
+                and all(t.delay_next[t.initial] == t.initial for t in self._cars)):
+            product, settled = 1, False
             for group in groups:
-                part = self._restrict(group)._ag_query(query)
+                part, settles = self._restrict(group)._group_part(query, watched)
                 explored += part.explored
-                if not part.holds:
+                if settles is None:
                     break
                 product *= part.states
+                settled = settled or settles
             else:
-                if product <= self.budget:
-                    return Verdict("holds", states=product, explored=explored)
-                return Verdict("inconclusive", states=self.budget, explored=explored,
-                               note=f"state budget {self.budget} exhausted")
-        whole = self._ag_query(query)
+                if settled:
+                    if product <= self.budget:
+                        return Verdict("holds", states=product, explored=explored)
+                    return Verdict("inconclusive", states=self.budget, explored=explored,
+                                   note=f"state budget {self.budget} exhausted")
+        whole = self._whole(query)
         return replace(whole, explored=explored + whole.explored)
+
+    def _group_part(self, query: Query, watched: Sequence[str]) -> Tuple[
+            Verdict, Optional[bool]]:
+        """A group engine's search for _by_group, and whether the group
+        settles the product answer: None when it rules that answer out.  An
+        AG search settles it when it holds.  A liveness region avoids the
+        goal of the group's cars in watched (a group without any keeps every
+        reachable state); it rules the product out with a stuck state, a
+        zero-delay cycle or the budget, and settles it when it starves a
+        controller in every SCC with an internal edge (_af_search)."""
+        if isinstance(query, (LivenessAny, LivenessCar)):
+            verdict, _, starved = self._af_search(self._initial_sid, self._goal(watched))
+            return verdict, starved
+        verdict = self._whole(query)
+        return verdict, True if verdict.holds else None
 
     def _liveness_targets(self, query) -> Tuple[str, ...]:
         if isinstance(query, LivenessCar):

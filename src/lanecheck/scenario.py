@@ -45,7 +45,13 @@ class Scenario:
     cars: Tuple[ScenarioCar, ...]
     variant: str = "original"
     constants: Constants = Constants()
-    horizon: Optional[int] = None   # None: computed to cover every car
+    # view half-length; None: computed to cover every car.  A horizon
+    # shorter than a car makes views one-sided: one car may see another
+    # that does not see it, so a guard and an invariant can disagree about
+    # the same pair and a run can wait until a clock bound stops time (a
+    # timelock).  That comes from the view model, not the protocol; the
+    # checker reports it as a stuck run (see test_stuck_state_witness)
+    horizon: Optional[int] = None
 
     def __post_init__(self):
         if self.lane_count < 1:

@@ -21,7 +21,7 @@ from lanecheck.checker import (
     Trace,
     run_query,
 )
-from lanecheck.scenario import Scenario, ScenarioCar
+from lanecheck.scenario import Scenario, ScenarioCar, load_scenario
 from lanecheck.traffic import CarState, TrafficSnapshot
 
 import oracles
@@ -292,6 +292,9 @@ def test_liveness_by_variant():
     assert run_query(fig1("original"), LivenessAny()).outcome == "fails"
     assert run_query(fig1("original-plus-tw"), LivenessAny()).outcome == "holds"
     assert run_query(fig1("live"), LivenessCar("A")).outcome == "holds"
+    # other cars' observers do not count towards liveness-car's goal
+    eng = Engine.for_query(fig1("original-plus-tw"), LivenessAny())
+    assert eng.run_query(LivenessCar("A")).outcome == "fails"
 
 
 def test_boxed_in_cars_deadlock_under_guarded_claims():
@@ -619,29 +622,35 @@ def _same_answer(got, want):
     assert got.witness == want.witness
 
 
-def _ag_engine(lanes, cars, query, **kwargs):
+def _group_engine(lanes, cars, query, **kwargs):
+    liveness = isinstance(query, (LivenessAny, LivenessCar))
     return Engine(lanes, cars, collision_observer=isinstance(query, SafetyNoCollision),
-                  **kwargs)
+                  live_observers=[c[0] for c in cars] if liveness else (), **kwargs)
 
 
 @pytest.mark.parametrize("guard_mode", ["interval", "mlsl"])
-def test_group_decomposition_matches_monolithic_search(guard_mode):
+def test_group_decomposition_matches_monolithic_search(guard_mode, monkeypatch):
+    whole_road = []
+    whole = Engine._whole
+    monkeypatch.setattr(Engine, "_whole",
+                        lambda self, query: whole_road.append(self) or whole(self, query))
     rng = random.Random(31)
-    decomposed = fallbacks = 0
+    seen = set()
     for _ in range(8):
         lanes, cars, ngroups = _grouped_road(rng)
         for variant in ("original", "original-plus-tw", "live"):
-            for query in (SafetyNoCollision(), NoDeadlock()):
-                eng = _ag_engine(lanes, cars, query, variant=variant,
-                                 guard_mode=guard_mode)
+            for query in (SafetyNoCollision(), NoDeadlock(), LivenessAny(),
+                          LivenessCar(cars[0][0])):
+                eng = _group_engine(lanes, cars, query, variant=variant,
+                                    guard_mode=guard_mode)
+                whole_road.clear()
                 got = eng.run_query(query)
+                decomposed = eng not in whole_road
                 assert len(eng.interaction_groups()) == ngroups
-                _same_answer(got, eng._ag_query(query))
-                if got.explored < got.states:
-                    decomposed += 1
-                else:
-                    fallbacks += 1
-    assert decomposed and fallbacks
+                _same_answer(got, eng._whole(query))
+                seen.add((isinstance(query, (LivenessAny, LivenessCar)), decomposed))
+    # decomposed and fallback answers, for AG and for liveness
+    assert len(seen) == 4
 
 
 def test_group_runs_share_the_parent_tables(monkeypatch):
@@ -662,17 +671,51 @@ def test_interaction_groups_close_over_chains():
 
 
 def test_group_product_against_budget():
-    # fig1: groups of 417 and 52 states.  A budget of exactly the product,
-    # one below it, and one below group {A,B}, which makes that group
-    # inconclusive, so the whole road is searched as well
-    for budget, outcome, explored in ((417 * 52, "holds", 469),
-                                      (417 * 52 - 1, "inconclusive", 469),
-                                      (50, "inconclusive", 100)):
-        eng = Engine.for_query(fig1(), SafetyNoCollision(), budget=budget)
-        v = eng.run_query(SafetyNoCollision())
-        _same_answer(v, eng._ag_query(SafetyNoCollision()))
-        assert (v.outcome, v.states, v.explored) == (outcome, min(budget, 417 * 52),
-                                                     explored)
+    # fig1 safety: groups of 417 and 52 states; fig1 live liveness-car=A:
+    # regions of 125 and 58.  A budget of exactly the product, one below
+    # it, and one below group {A,B}, which makes that group inconclusive,
+    # so the whole road is searched as well
+    for variant, query, sizes, low in (("original", SafetyNoCollision(), (417, 52), 50),
+                                       ("live", LivenessCar("A"), (125, 58), 100)):
+        product = sizes[0] * sizes[1]
+        for budget, outcome, explored in ((product, "holds", sum(sizes)),
+                                          (product - 1, "inconclusive", sum(sizes)),
+                                          (low, "inconclusive", 2 * low)):
+            eng = Engine.for_query(fig1(variant), query, budget=budget)
+            v = eng.run_query(query)
+            _same_answer(v, eng._whole(query))
+            assert (v.outcome, v.states, v.explored) == (outcome, min(budget, product),
+                                                         explored)
+
+
+def test_liveness_holds_as_a_product_of_group_regions():
+    # (scenario, query, region sizes per group); fig1's answers are also
+    # compared with the whole-road search, which takes seconds on fourcars
+    fourcars = dataclasses.replace(load_scenario("scenarios/fourcars.scn"), variant="live")
+    for sc, query, sizes in ((fig1("live"), LivenessCar("A"), (125, 58)),
+                             (fig1("original-plus-tw"), LivenessAny(), (45, 6)),
+                             (fourcars, LivenessCar("A"), (125, 58, 58))):
+        eng = Engine.for_query(sc, query)
+        v = eng.run_query(query)
+        product = 1
+        for size in sizes:
+            product *= size
+        assert (v.outcome, v.states, v.explored) == ("holds", product, sum(sizes))
+        if sc is not fourcars:
+            _same_answer(v, eng._whole(query))
+    # original-plus-tw: {A,B} alone has a fair cycle; only {E} starves a
+    # controller in each of its SCCs, and that settles the product
+    eng = Engine.for_query(fig1("original-plus-tw"), LivenessAny())
+    ab = eng._restrict(eng._pair_graph().groups[0])._whole(LivenessAny())
+    assert (ab.outcome, ab.note) == ("fails", "fair cycle avoids the goal")
+
+
+def test_liveness_with_the_collision_observer_is_not_decomposed():
+    eng = Engine(4, [(c.name, c.lane, c.pos, c.size) for c in fig1().cars], "live",
+                 collision_observer=True, live_observers=("A",))
+    v = eng.run_query(LivenessCar("A"))
+    assert v.explored == v.states
+    _same_answer(v, eng._whole(LivenessCar("A")))
 
 
 def test_failing_group_falls_back_to_the_whole_road():
@@ -680,25 +723,30 @@ def test_failing_group_falls_back_to_the_whole_road():
     unsafe = [("A", 0, 0, 5), ("B", 0, 3, 5), ("C", 1, 40, 5)]
     # two lone cars on one lane: each group deadlocks at once
     stuck = [("A", 0, 0, 5), ("B", 0, 20, 5)]
-    for lanes, cars, query in ((2, unsafe, SafetyNoCollision()),
-                               (1, stuck, NoDeadlock())):
-        eng = _ag_engine(lanes, cars, query)
+    # stuck_road's pair, whose region has a stuck state, and a lone car E
+    # that would settle liveness on its own
+    timelock = [("A", 0, 0, 10), ("B", 1, 5, 10), ("E", 0, 40, 5)]
+    for lanes, cars, query, kwargs in ((2, unsafe, SafetyNoCollision(), {}),
+                                       (1, stuck, NoDeadlock(), {}),
+                                       (2, timelock, LivenessAny(),
+                                        {"variant": "live", "horizon": 5})):
+        eng = _group_engine(lanes, cars, query, **kwargs)
         v = eng.run_query(query)
         assert v.outcome == "fails"
-        _same_answer(v, eng._ag_query(query))
+        _same_answer(v, eng._whole(query))
         assert v.explored > v.states
         replay(v.witness)
 
 
 def test_unnormalized_start_is_not_decomposed():
     cars = [("A", 0, 0, 4), ("B", 1, 20, 4)]
-    for query in (SafetyNoCollision(), NoDeadlock()):
-        eng = _ag_engine(2, cars, query, variant="original-plus-tw",
-                         normalize=False, clock_cap=6)
+    for query in ALL_QUERIES:
+        eng = _group_engine(2, cars, query, variant="original-plus-tw",
+                            normalize=False, clock_cap=6)
         assert len(eng.interaction_groups()) == 2
         v = eng.run_query(query)
         assert v.explored == v.states
-        _same_answer(v, eng._ag_query(query))
+        _same_answer(v, eng._whole(query))
 
 
 # --- budgets -------------------------------------------------------------------------
