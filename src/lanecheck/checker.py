@@ -25,18 +25,19 @@ Two query styles are supported:
   asks that only of controllers enabled all along the cycle, so it counts
   more cycles.  The README and the test oracles refer here for this rule.
 
-There is one successor generator; ``guard_mode`` only selects how its
-static per-pair overlap tables are decided (see ``Engine``).
+There is one successor generator; ``guard_mode`` only selects how it
+decides, once per pair of cars, whether the pair can meet (see
+``Engine``).
 
 Interaction groups.  Cars i and j interact when either sees the other
-(the view overlap table, in either direction) or, under the collision
-test, their extents meet (the global overlap table; that implies the
-first).  The connected components of that relation are
-the interaction groups; a car's guards, its invariant and the collision
-test only ever look at cars of its own group.  ``run_query`` answers
-``SafetyNoCollision`` and ``NoDeadlock`` one group at a time, on an engine
-restricted to the group (same car tables, pair entries, horizon and
-budget, and the group's observers), and multiplies the state counts.
+(their extents overlap inside its view) or, under the collision test,
+their extents meet (that implies the first).  The connected components
+of that relation are the interaction groups; a car's guards, its
+invariant and the collision test only ever look at cars of its own
+group.  ``run_query`` answers ``SafetyNoCollision`` and ``NoDeadlock``
+one group at a time, on an engine restricted to the group (same car
+tables, pair lists, horizon and budget, and the group's observers), and
+multiplies the state counts.
 That is exact when every car starts in a configuration whose delay step
 leads back to itself (cruising with a dead clock, the normalised start):
 
@@ -597,13 +598,13 @@ class Engine:
     ego's view" (pc, claim-free, cc) or "two cars' reservations meet"
     (collision).  That holds exactly when some single pair shares a lane
     and the pair's extents overlap inside the view.  The lane half is the
-    bitmask AND that _expand does per state; the geometry half is one
-    boolean per ordered pair, fixed because positions never change, kept
-    in _ovl_view and _ovl_global.  guard_mode="interval" fills them by
-    interval arithmetic; guard_mode="mlsl" decides each entry by formula
-    (_probe_view, _probe_global) the first time it is read.  _expand reads
-    them through per-car neighbour lists, which _pair_graph builds on the
-    first expansion or query together with the interaction groups.
+    bitmask AND that _expand does per state; the geometry half is fixed
+    because positions never change, and _pair_graph decides it once per
+    pair on the first expansion or query: by interval arithmetic
+    (_view_overlap, _extents_meet) under guard_mode="interval", by
+    formula (_probe_view, _probe_global) under guard_mode="mlsl".  Its
+    _Pairs, the per-car neighbour lists, the colliding pairs and the
+    interaction groups, is the only record of which cars can meet.
 
     Successor rows.  The fires of car i that are enabled in a state, and
     the sid deltas they make, depend on three things only: i's own
@@ -668,26 +669,6 @@ class Engine:
             raise CheckerError("horizon must be positive")
         self.horizon = horizon
 
-        # pairwise extent overlaps; _ovl_view[i][j] clips both cars to car
-        # i's view before testing, _ovl_global ignores views entirely
-        n = len(tables)
-        if guard_mode == "mlsl":
-            self._ovl_view = [_ProbedRow(i, self._probe_view) for i in range(n)]
-            self._ovl_global = [_ProbedRow(i, self._probe_global) for i in range(n)]
-        else:
-            self._ovl_view = [[False] * n for _ in range(n)]
-            self._ovl_global = [[False] * n for _ in range(n)]
-            for i, a in enumerate(tables):
-                vlo, vhi = a.pos - horizon, a.pos + horizon
-                for j, b in enumerate(tables):
-                    if i == j:
-                        continue
-                    self._ovl_global[i][j] = (a.pos < b.pos + b.size
-                                              and b.pos < a.pos + a.size)
-                    ai, bi = max(a.pos, vlo), min(a.pos + a.size, vhi)
-                    aj, bj = max(b.pos, vlo), min(b.pos + b.size, vhi)
-                    self._ovl_view[i][j] = max(ai, aj) < min(bi, bj)
-
         # observers: collision first, then per-car trackers in cars order
         live_cars = tuple(live_observers)
         for w in live_cars:
@@ -712,7 +693,7 @@ class Engine:
         self._live_index = {w: k for k, w in enumerate(self._live_cars)}
         # every observer, in the order of their digits after the cars'
         self._observers = ((coll_obs,) if coll_obs is not None else ()) + self._live_obs
-        # neighbour lists and groups, read from the pair tables on first use
+        # neighbour lists and groups, decided by _pair_graph on first use
         self._pairs: Optional[_Pairs] = None
         # per-car successor rows, built on the first expansion (_row_cache)
         self._rows: Optional[List[Tuple[int, int, int, Dict[int, tuple]]]] = None
@@ -762,10 +743,22 @@ class Engine:
             {t.name: t.car_state(c) for t, c in zip(self._cars, cfgs)},
         )
 
-    # -- pair probes (guard_mode="mlsl") --------------------------------------
+    # -- pair geometry ---------------------------------------------------------
+
+    def _view_overlap(self, i: int, j: int) -> bool:
+        """Whether the extents of cars i and j, both clipped to i's standard
+        view, overlap."""
+        a, b = self._cars[i], self._cars[j]
+        return (max(a.pos, b.pos, a.pos - self.horizon)
+                < min(a.pos + a.size, b.pos + b.size, a.pos + self.horizon))
+
+    def _extents_meet(self, i: int, j: int) -> bool:
+        """Whether the extents of cars i and j overlap, views aside."""
+        a, b = self._cars[i], self._cars[j]
+        return a.pos < b.pos + b.size and b.pos < a.pos + a.size
 
     def _probe_view(self, i: int, j: int) -> bool:
-        """_ovl_view[i][j] by exists_pc_formula in i's standard view of a
+        """_view_overlap(i, j) by exists_pc_formula in i's standard view of a
         two-lane road where i reserves lane 1 and claims lane 0, j reserves
         lane 0: true exactly when the extents overlap inside the view."""
         ego, other = self._cars[i], self._cars[j]
@@ -777,7 +770,7 @@ class Engine:
         return mlsl.eval(ts, view, {"ego": ego.name}, mlsl.exists_pc_formula())
 
     def _probe_global(self, i: int, j: int) -> bool:
-        """_ovl_global[i][j] by the collision formula on a one-lane road
+        """_extents_meet(i, j) by the collision formula on a one-lane road
         where both cars reserve the lane, viewed past every car's ends."""
         a, b = self._cars[i], self._cars[j]
         ts = TrafficSnapshot(1, {a.name: CarState(a.pos, a.size, res={0}),
@@ -790,13 +783,16 @@ class Engine:
     # -- interaction groups ---------------------------------------------------
 
     def _pair_graph(self) -> "_Pairs":
-        """Neighbour lists and interaction groups, read from the pair tables
-        once, on first use, so guard_mode="mlsl" probes run during the first
-        query and not at build."""
+        """Neighbour lists and interaction groups, each pair decided once, on
+        first use, so guard_mode="mlsl" probes run during the first query
+        and not at build."""
         if self._pairs is not None:
             return self._pairs
         n = self._ncars
-        view, glob = self._ovl_view, self._ovl_global
+        if self.guard_mode == "mlsl":
+            overlaps, meets = self._probe_view, self._probe_global
+        else:
+            overlaps, meets = self._view_overlap, self._extents_meet
         sees: List[List[int]] = [[] for _ in range(n)]
         seen_by: List[List[int]] = [[] for _ in range(n)]
         collide: List[Tuple[int, int]] = []
@@ -809,16 +805,16 @@ class Engine:
 
         for i in range(n):
             for j in range(n):
-                if i != j and view[i][j]:
+                if i != j and overlaps(i, j):
                     sees[i].append(j)
                     seen_by[j].append(i)
                     join(i, j)
-            # only the collision observer reads the global table; it adds no
-            # link anyway: of two cars whose extents meet, the one further
+            # only the collision observer reads whether extents meet; it adds
+            # no link anyway: of two cars whose extents meet, the one further
             # along sees the other in any view of positive horizon
             if self._coll_obs is not None:
                 for j in range(i + 1, n):
-                    if glob[i][j]:
+                    if meets(i, j):
                         collide.append((i, j))
                         join(i, j)
         groups: Dict[int, List[int]] = {}
@@ -835,10 +831,10 @@ class Engine:
 
     def _restrict(self, group: Sequence[int]) -> "Engine":
         """The engine of one interaction group: the parent's car tables,
-        horizon and budget, its decided pair entries sliced to the group
-        (so no probe runs again), and the group's observers."""
+        horizon and budget, its _Pairs re-indexed to the group (so no pair
+        is decided again), and the group's observers."""
         pairs = self._pair_graph()
-        collide = set(pairs.collide)
+        index = {i: k for k, i in enumerate(group)}
         names = {self.car_names[i] for i in group}
         sub = object.__new__(type(self))
         sub.lane_count = self.lane_count
@@ -847,12 +843,15 @@ class Engine:
         sub.guard_mode = self.guard_mode
         sub.budget = self.budget
         sub.horizon = self.horizon
-        sub._ovl_view = [[j in pairs.sees[i] for j in group] for i in group]
-        sub._ovl_global = [[(i, j) in collide or (j, i) in collide for j in group]
-                           for i in group]
         sub._layout([self._cars[i] for i in group], self._coll_obs,
                     [(w, obs) for w, obs in zip(self._live_cars, self._live_obs)
                      if w in names])
+        # a group is closed under every link, and index keeps cars order
+        sub._pairs = _Pairs(
+            tuple(tuple(index[j] for j in pairs.sees[i]) for i in group),
+            tuple(tuple(index[j] for j in pairs.seen_by[i]) for i in group),
+            tuple((index[i], index[j]) for i, j in pairs.collide if i in index),
+            (tuple(range(len(group))),))
         return sub
 
     # -- successor generation -------------------------------------------------
@@ -1394,30 +1393,12 @@ class Engine:
 
 
 class _Pairs(NamedTuple):
-    """Static pair structure of a road, read once from the pair tables."""
+    """Which cars of a road can meet, decided once per pair (_pair_graph)."""
 
-    sees: Tuple[Tuple[int, ...], ...]       # [i]: cars j with _ovl_view[i][j]
-    seen_by: Tuple[Tuple[int, ...], ...]    # [i]: cars j with _ovl_view[j][i]
-    collide: Tuple[Tuple[int, int], ...]    # (i, j), i < j, with _ovl_global[i][j]
+    sees: Tuple[Tuple[int, ...], ...]       # [i]: cars j overlapping i in i's view
+    seen_by: Tuple[Tuple[int, ...], ...]    # [i]: cars j that i overlaps in j's view
+    collide: Tuple[Tuple[int, int], ...]    # (i, j), i < j, extents meet; needs coll_obs
     groups: Tuple[Tuple[int, ...], ...]     # interaction groups, in cars order
-
-
-class _ProbedRow:
-    """Row i of a pair table whose entry j is decided by probe(i, j) the
-    first time it is read, then kept."""
-
-    __slots__ = ("_i", "_probe", "_known")
-
-    def __init__(self, i: int, probe: Callable[[int, int], bool]):
-        self._i = i
-        self._probe = probe
-        self._known: Dict[int, bool] = {}
-
-    def __getitem__(self, j: int) -> bool:
-        hit = self._known.get(j)
-        if hit is None:
-            hit = self._known[j] = self._probe(self._i, j)
-        return hit
 
 
 class _Visited:

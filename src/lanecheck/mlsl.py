@@ -8,19 +8,19 @@ point, a vertical chop `[upper / lower]` splits the lane band, and
 `<phi>` ("somewhere") is the derived pattern embedding phi in an arbitrary
 sub-view.
 
-Two evaluation strategies are provided for horizontal chops: `fast` tries
-only chop points near extent boundaries and visible car endpoints (widened
-enough to cover nested chops over free space), `sweep` tries every integer
-point and serves as the reference oracle in tests.  `fast` is evaluated
-bottom-up: each subformula gets, per lane band and left end r, the set of
-right ends t where it holds as one bitmask, so a horizontal chop is a
-relational composition of such rows and a vertical chop composes them over
-lane splits (the usual dynamic program for chop in interval temporal logic).
-`sweep` keeps the direct top-down recursion over every split point.
+A horizontal chop holds on [r, t] when some split point s in [r, t] has
+the left part true on [r, s] and the right part on [s, t]; there is no
+other chop rule.  `eval` has two algorithms for it, picked by chop_mode.
+"fast" is evaluated bottom-up: each subformula gets, per lane band and
+left end r, the set of right ends t where it holds as one bitmask, so a
+horizontal chop is a relational composition of such rows and a vertical
+chop composes them over lane splits (the usual dynamic program for chop
+in interval temporal logic).  "sweep" is the direct top-down recursion
+over every split point and serves as the reference in tests.
 
-The module also carries the interval-arithmetic collision checks used by
-the controllers (`cc`, `pc`, `intersect`) and builders for their formula
-counterparts, so tests can cross-validate the two.
+The module also carries `cc` and `pc`, the collision checks by interval
+arithmetic, and builders for their formula counterparts, so tests can
+cross-validate the two.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .traffic import Extent, TrafficSnapshot, View
+from .traffic import CarState, Extent, TrafficSnapshot, View
 
 
 class MlslError(Exception):
@@ -362,21 +362,6 @@ Valuation = Mapping[str, Union[str, int]]
 
 
 @functools.lru_cache(maxsize=None)
-def _hchop_count(f: Formula) -> int:
-    if isinstance(f, HChop):
-        return 1 + _hchop_count(f.left) + _hchop_count(f.right)
-    if isinstance(f, Not):
-        return _hchop_count(f.sub)
-    if isinstance(f, ExistsCar):
-        return _hchop_count(f.sub)
-    if isinstance(f, And):
-        return _hchop_count(f.left) + _hchop_count(f.right)
-    if isinstance(f, VChop):
-        return _hchop_count(f.lower) + _hchop_count(f.upper)
-    return 0
-
-
-@functools.lru_cache(maxsize=None)
 def _free_vars(f: Formula) -> Tuple[str, ...]:
     if isinstance(f, (Re, Cl)):
         return (f.car,)
@@ -394,7 +379,7 @@ def _free_vars(f: Formula) -> Tuple[str, ...]:
 
 
 class _Ctx:
-    __slots__ = ("names", "ext", "res", "clm", "memo", "lo", "hi", "near", "fv")
+    __slots__ = ("names", "ext", "res", "clm", "memo", "lo", "hi", "fv")
 
     def __init__(self, ts: TrafficSnapshot, extent: Extent):
         self.names = tuple(sorted(ts.cars))
@@ -406,7 +391,6 @@ class _Ctx:
         # on the subview and the node's free-variable bindings
         self.memo: Dict[tuple, Union[bool, int]] = {}
         self.lo, self.hi = extent.lo, extent.hi
-        self.near: Dict[int, FrozenSet[int]] = {}  # k -> car endpoints widened by k
         self.fv: Dict[int, Tuple[str, ...]] = {}  # id(node) -> its free variables
 
     def visible(self, r: int, t: int) -> Tuple[str, ...]:
@@ -498,7 +482,7 @@ def _row(ctx: _Ctx, ll: int, ln: int, r: int, nu: Dict[str, Union[str, int]], f:
 
     Bit t - lo of the result stands for t.  Each row is computed once per
     (node, band, r, binding), not once per path of chop points leading
-    there; a horizontal chop tries only the points named at its case.
+    there.
     """
     if isinstance(f, TrueF):
         return _span(ctx, r, ctx.hi)
@@ -546,30 +530,14 @@ def _row(ctx: _Ctx, ll: int, ln: int, r: int, nu: Dict[str, Union[str, int]], f:
                 row |= _row(ctx, ll, ln, r, nu, f.sub) & _span(ctx, max(a, r), ctx.hi)
         _restore(nu, f.var, shadowed)
     elif isinstance(f, HChop):
-        # the chop points of [r, t]: every s in [r, t] within k of r, of t
-        # or of a car endpoint, where k counts this chop and the chops
-        # below it.  Splits do not always fall on car endpoints: chopping
-        # free space, or a car's extent into several atom pieces, needs
-        # interior points, one per chop below this one, and widening every
-        # anchor by k covers them (tests check this against the sweep of
-        # every point, _eval).  Only the "within k of t" case depends on t,
-        # and it limits t to s..s+k
-        k = _hchop_count(f)
-        near = ctx.near.get(k)
-        if near is None:
-            near = ctx.near[k] = frozenset(
-                e + d for ext in ctx.ext.values() for e in ext for d in range(-k, k + 1))
+        # some split point s in [r, t] with the left part on [r, s] and the
+        # right part on [s, t]: the right rows of every s in the left row
         row = 0
         left = _row(ctx, ll, ln, r, nu, f.left)
         while left:
             low = left & -left
             left ^= low
-            s = ctx.lo + low.bit_length() - 1
-            right = _row(ctx, ll, ln, s, nu, f.right)
-            if s - r <= k or s in near:
-                row |= right
-            else:
-                row |= right & _span(ctx, s, s + k)
+            row |= _row(ctx, ll, ln, ctx.lo + low.bit_length() - 1, nu, f.right)
     elif isinstance(f, VChop):
         row = 0
         for m in range(ll - 1, ln + 1):
@@ -603,9 +571,11 @@ def eval(ts: TrafficSnapshot, view: View, nu: Valuation, phi: Formula,
          chop_mode: str = "fast") -> bool:  # noqa: A001 — name fixed by the API
     """Satisfaction of phi over the view, under valuation nu.
 
-    nu must bind `ego` (and every other free variable of phi).  chop_mode
-    selects the horizontal chop strategy: "fast" (candidate points) or
-    "sweep" (every integer in the extent, slow reference).
+    nu must bind `ego` (and every other free variable of phi).  Both
+    chop_modes apply the one chop rule, a split at some point of the
+    extent; chop_mode picks the algorithm: "fast" builds rows bottom-up
+    (_row), "sweep" recurses top-down over every split point (_eval, the
+    reference the tests compare against).
     """
     if chop_mode not in ("fast", "sweep"):
         raise ValueError(f"chop_mode must be 'fast' or 'sweep', got {chop_mode!r}")
@@ -619,55 +589,33 @@ def eval(ts: TrafficSnapshot, view: View, nu: Valuation, phi: Formula,
 
 
 # ---------------------------------------------------------------------------
-# Interval-arithmetic collision checks (the controllers' fast guards)
+# Interval-arithmetic collision checks.  The checker asks these questions
+# through lane bitmasks and its pair lists; cc and pc are the interval
+# reference that the formulas below are compared against.
 
 
-@dataclass(frozen=True)
-class Footprint:
-    """Lane set plus occupied interval, as used by the pairwise checks."""
-
-    lanes: FrozenSet[int]
-    pos: int
-    size: int
-
-
-def res_footprint(ts: TrafficSnapshot, c: str) -> Footprint:
-    car = ts.car(c)
-    return Footprint(car.res, car.pos, car.size)
-
-
-def clm_footprint(ts: TrafficSnapshot, c: str) -> Footprint:
-    car = ts.car(c)
-    return Footprint(car.clm, car.pos, car.size)
-
-
-def intersect(p1: Footprint, p2: Footprint) -> bool:
-    """Shared lane and overlapping intervals.
-
-    The interval test is strict (merely touching endpoints do not count):
-    a car whose visible part has zero length can never satisfy a re/cl
-    atom, so the formula side never sees touching as overlap either.
-    """
-    if not (p1.lanes & p2.lanes):
-        return False
-    return p1.pos < p2.pos + p2.size and p2.pos < p1.pos + p1.size
+def _meet(a: CarState, b: CarState) -> bool:
+    """Overlapping intervals.  The test is strict (merely touching endpoints
+    do not count): a car whose visible part has zero length can never
+    satisfy a re/cl atom, so the formula side never sees touching as
+    overlap either."""
+    return a.pos < b.pos + b.size and b.pos < a.pos + a.size
 
 
 def cc(ts: TrafficSnapshot, ego: str) -> bool:
-    """No other car's reservation intersects ego's reservation."""
-    mine = res_footprint(ts, ego)
-    return not any(
-        intersect(mine, res_footprint(ts, c)) for c in ts.cars if c != ego
-    )
+    """No other car's reservation shares a lane with ego's and meets it."""
+    mine = ts.car(ego)
+    return not any(c != ego and mine.res & car.res and _meet(mine, car)
+                   for c, car in ts.cars.items())
 
 
 def pc(ts: TrafficSnapshot, ego: str, c: str) -> bool:
-    """c's claim or reservation intersects ego's claim."""
+    """c's claim or reservation shares a lane with ego's claim and meets it."""
     if c == ego:
         return False
-    ts.car(c)
-    mine = clm_footprint(ts, ego)
-    return intersect(mine, res_footprint(ts, c)) or intersect(mine, clm_footprint(ts, c))
+    other = ts.car(c)
+    mine = ts.car(ego)
+    return bool(mine.clm & (other.res | other.clm)) and _meet(mine, other)
 
 
 def cc_formula() -> Formula:
@@ -684,11 +632,6 @@ def collision_formula() -> Formula:
     """Two distinct cars have overlapping reservations somewhere."""
     return ExistsCar("c", ExistsCar("d", And(
         Not(VarEq("c", "d")), somewhere(And(Re("c"), Re("d"))))))
-
-
-def safe_formula() -> Formula:
-    """Collision freedom for ego; same shape as the collision check."""
-    return cc_formula()
 
 
 def pc_formula(c: str = "c") -> Formula:

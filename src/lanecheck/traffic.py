@@ -14,7 +14,7 @@ dynamics are claims and reservations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import FrozenSet, Mapping, Optional, Tuple
+from typing import FrozenSet, Mapping, Optional
 
 
 class TrafficError(Exception):
@@ -43,20 +43,6 @@ class Extent:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"empty extent [{self.lo}, {self.hi}]")
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo
-
-    def intersect(self, other: "Extent") -> Optional["Extent"]:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return Extent(lo, hi)
-
-    def contains(self, x: int) -> bool:
-        return self.lo <= x <= self.hi
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -228,14 +214,6 @@ class View:
         if self.lane_hi < self.lane_lo - 1:
             raise ValueError(f"bad lane band [{self.lane_lo}, {self.lane_hi}]")
 
-    @property
-    def lane_width(self) -> int:
-        return self.lane_hi - self.lane_lo + 1
-
-    @property
-    def lanes(self) -> range:
-        return range(self.lane_lo, self.lane_hi + 1)
-
 
 def standard_view(ts: TrafficSnapshot, e: str, h: int) -> View:
     """The full lane band, h road units each way around car e."""
@@ -243,31 +221,3 @@ def standard_view(ts: TrafficSnapshot, e: str, h: int) -> View:
         raise TrafficError(f"horizon must be positive, got {h}")
     c = ts.car(e)
     return View(0, ts.lane_count - 1, Extent(c.pos - h, c.pos + h), owner=e)
-
-
-def len_v(view: View, ts: TrafficSnapshot, c: str) -> Optional[Extent]:
-    """The part of car c's occupied interval inside the view's extent.
-
-    None when the car is out of sight.  Visibility depends only on road
-    positions, not lanes.
-    """
-    return ts.car(c).extent.intersect(view.extent)
-
-
-def res_v(view: View, ts: TrafficSnapshot, c: str) -> FrozenSet[int]:
-    """Reserved lanes of c within the view's band; empty if c is invisible."""
-    if len_v(view, ts, c) is None:
-        return frozenset()
-    return frozenset(l for l in ts.car(c).res if view.lane_lo <= l <= view.lane_hi)
-
-
-def clm_v(view: View, ts: TrafficSnapshot, c: str) -> FrozenSet[int]:
-    """Claimed lanes of c within the view's band; empty if c is invisible."""
-    if len_v(view, ts, c) is None:
-        return frozenset()
-    return frozenset(l for l in ts.car(c).clm if view.lane_lo <= l <= view.lane_hi)
-
-
-def visible_cars(view: View, ts: TrafficSnapshot) -> Tuple[str, ...]:
-    """Cars whose extent meets the view's extent, in a stable order."""
-    return tuple(name for name in sorted(ts.cars) if len_v(view, ts, name) is not None)

@@ -258,7 +258,7 @@ _COLLISION = mlsl.collision_formula()
 
 def formula_successors(engine: Engine, sid: int, cache: Optional[dict] = None):
     """Engine._expand(sid) recomputed with every spatial question asked of
-    the formula evaluator on the whole snapshot, not of the pair tables.
+    the formula evaluator on the whole snapshot, not of the pair lists.
 
     Guards are exists_pc_formula (pc-some, pc-none) and, for claim-free,
     exists_pc_formula on the snapshot with ego's claim swapped to the

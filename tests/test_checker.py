@@ -449,8 +449,8 @@ def test_guard_modes_agree(monkeypatch):
                 assert not calls, "building the engine evaluated formulas"
                 slow = eng.run_query(query)
                 if not isinstance(query, SafetyNoCollision):
-                    # only the collision observer needs the global table
-                    assert not any(row._known for row in eng._ovl_global)
+                    # only the collision observer asks whether extents meet
+                    assert all(args[3] != mlsl.collision_formula() for args in calls)
                 assert fast.outcome == slow.outcome, (variant, name, query)
                 assert fast.states == slow.states, (variant, name, query)
                 assert fast.witness == slow.witness, (variant, name, query)
@@ -461,16 +461,17 @@ def test_guard_modes_agree(monkeypatch):
        sb=st.integers(1, 8), horizon=st.integers(1, 10))
 def test_pair_probes_share_one_geometry(pa, sa, pb, sb, horizon):
     cars = [("A", 0, pa, sa), ("B", 1, pb, sb)]
-    probed = Engine(2, cars, guard_mode="mlsl", horizon=horizon)._ovl_view[0][1]
-    interval = Engine(2, cars, horizon=horizon)
-    assert probed == interval._ovl_view[0][1]
+    probed, interval = (Engine(2, cars, guard_mode=mode, horizon=horizon,
+                               collision_observer=True)._pair_graph()
+                        for mode in ("mlsl", "interval"))
+    assert probed.sees == interval.sees
+    assert probed.collide == interval.collide
     # meeting extents link no cars that views do not (interaction groups)
-    ovl = interval._ovl_view
-    assert not interval._ovl_global[0][1] or ovl[0][1] or ovl[1][0]
+    assert not interval.collide or interval.sees != ((), ())
     # the collision check asks the same pair question of reservations
     ts = TrafficSnapshot(1, {"A": CarState(pa, sa, {0}), "B": CarState(pb, sb, {0})})
     view = traffic.standard_view(ts, "A", horizon)
-    assert mlsl.eval(ts, view, {"ego": "A"}, mlsl.cc_formula()) == (not probed)
+    assert mlsl.eval(ts, view, {"ego": "A"}, mlsl.cc_formula()) == (probed.sees[0] == ())
 
 
 def test_formula_successors_match_engine():

@@ -1,4 +1,4 @@
-"""Spatial formula evaluation: atoms, chops, parsing, chop-point soundness."""
+"""Spatial formula evaluation: atoms, chops, parsing, fast rows against the sweep."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,7 +277,7 @@ def test_eval_rejects_bad_chop_mode():
         mlsl.eval(ts, View(1, 1, Extent(0, 20)), {"ego": "A"}, TrueF(), chop_mode="best")
 
 
-# --- fast chop strategy against the exhaustive sweep ------------------------------
+# --- bottom-up rows (fast) against the top-down sweep of every split point ----
 
 
 @st.composite
@@ -321,6 +321,31 @@ def test_fast_chop_agrees_with_sweep(case):
     fast = mlsl.eval(ts, view, nu, phi, chop_mode="fast")
     sweep = mlsl.eval(ts, view, nu, phi, chop_mode="sweep")
     assert fast == sweep
+
+
+def test_fast_chop_agrees_with_sweep_across_long_car_free_gaps():
+    # the random cases keep extents within [-12, 12], so they rarely split
+    # far from every car end and from both extent ends; here a 30-unit gap
+    # between two cars offers such split points for every view end below
+    ts = TrafficSnapshot(3, {"A": CarState(0, 4, res={0}, clm={1}),
+                             "B": CarState(34, 4, res={0, 1})})
+    nu = {"ego": "A", "c": "B"}
+    formulas = ("free ; free ; free", "re(ego) ; free ; re(c)", "<free ; free> ; re(c)",
+                "[true ; free ; free ; re(c) / re(ego) ; free ; true]")
+    ends = (-2, 1, 6, 19, 30, 35, 38)
+    held = set()
+    for text in formulas:
+        phi = parse(text)
+        for r in ends:
+            for t in ends[ends.index(r):]:
+                for band in ((0, 0), (1, 1), (0, 1)):
+                    view = View(*band, Extent(r, t))
+                    fast = mlsl.eval(ts, view, nu, phi)
+                    assert fast == mlsl.eval(ts, view, nu, phi, chop_mode="sweep"), \
+                        (text, band, r, t)
+                    if fast:
+                        held.add(text)
+    assert held == set(formulas)
 
 
 # --- interval encodings of the controller checks -----------------------------------

@@ -18,53 +18,8 @@ from lanecheck.traffic import (
     WithdrawClaim,
     WithdrawReservation,
     apply_action,
-    clm_v,
-    len_v,
-    res_v,
     standard_view,
-    visible_cars,
 )
-
-
-# --- extents ---------------------------------------------------------------
-
-
-def test_extent_length_and_contains():
-    e = Extent(3, 8)
-    assert e.length == 5
-    assert e.contains(3) and e.contains(8) and not e.contains(9)
-
-
-def test_extent_intersect_overlap():
-    assert Extent(0, 5).intersect(Extent(3, 9)) == Extent(3, 5)
-
-
-def test_extent_intersect_touching_is_a_point():
-    assert Extent(0, 5).intersect(Extent(5, 9)) == Extent(5, 5)
-
-
-def test_extent_intersect_disjoint():
-    assert Extent(0, 4).intersect(Extent(5, 9)) is None
-
-
-extents = st.tuples(st.integers(-50, 50), st.integers(0, 30)).map(
-    lambda p: Extent(p[0], p[0] + p[1])
-)
-
-
-@given(extents, extents)
-def test_extent_intersect_commutes(a, b):
-    assert a.intersect(b) == b.intersect(a)
-
-
-@given(extents, extents)
-def test_extent_intersection_lies_in_both(a, b):
-    c = a.intersect(b)
-    if c is None:
-        assert a.hi < b.lo or b.hi < a.lo
-    else:
-        assert a.lo <= c.lo <= c.hi <= a.hi
-        assert b.lo <= c.lo <= c.hi <= b.hi
 
 
 # --- car state invariants ---------------------------------------------------
@@ -215,36 +170,6 @@ def test_standard_view_needs_positive_horizon():
     ts = road(A=CarState(10, 5, res={1}))
     with pytest.raises(TrafficError):
         standard_view(ts, "A", 0)
-
-
-def test_len_v_clips_to_the_view():
-    ts = road(A=CarState(10, 5, res={1}), B=CarState(100, 5, res={0}))
-    v = View(0, 3, Extent(12, 60))
-    assert len_v(v, ts, "A") == Extent(12, 15)
-    assert len_v(v, ts, "B") is None
-
-
-def test_res_v_and_clm_v_of_invisible_car_are_empty():
-    ts = road(A=CarState(100, 5, res={1}, clm={2}))
-    v = View(0, 3, Extent(0, 50))
-    assert res_v(v, ts, "A") == frozenset()
-    assert clm_v(v, ts, "A") == frozenset()
-
-
-def test_res_v_restricted_to_lane_band():
-    ts = road(A=CarState(10, 5, res={1, 2}))
-    v = View(2, 3, Extent(0, 50))
-    assert res_v(v, ts, "A") == frozenset({2})
-
-
-def test_visible_cars_sorted():
-    ts = road(
-        B=CarState(0, 5, res={0}),
-        A=CarState(7, 5, res={1}),
-        Z=CarState(200, 5, res={2}),
-    )
-    v = View(0, 3, Extent(0, 40))
-    assert visible_cars(v, ts) == ("A", "B")
 
 
 def test_empty_lane_band_is_allowed():
