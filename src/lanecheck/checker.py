@@ -106,8 +106,9 @@ from __future__ import annotations
 
 import functools
 import os
+from array import array
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
+from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
                     Optional, Sequence, Set, Tuple, Union)
 
 from . import mlsl, traffic
@@ -1184,79 +1185,106 @@ class Engine:
         region starves a controller in every SCC with an internal edge: one
         enabled in each of its states that fires on none of its internal
         edges.  That is None when a stuck state, a zero-delay cycle or the
-        budget ended the search first, and False once a fair cycle is met."""
+        budget ended the search first, and False once a fair cycle is met.
+
+        The region is every state reachable without passing a good state.
+        Its states are numbered in breadth-first discovery order, which is
+        also the order they are expanded in: order[k] is the sid of state
+        k and index maps each sid back to k.  The edges kept inside the
+        region are stored in CSR form: state k's edges, in _expand order,
+        are targets[e] (state numbers) and codes[e] (as in _expand) for e
+        in range(offsets[k], offsets[k + 1]); a state found but not
+        expanded has no entry there and reads as having no edges.
+        enabled[k] is state k's enabled mask.  order and enabled stay
+        lists, since sids and masks can exceed 64 bits.  Witnesses walk the
+        same arrays through succ, which maps state numbers back to sids."""
         if good(init):
             return Verdict("holds", states=1), None, True
 
-        # region: all states reachable without passing through a good state,
-        # each with its edges into the region, in _expand order
-        edges: Dict[int, List[Tuple[int, int]]] = {init: []}
-        enabled: Dict[int, int] = {}
-        frontier = [init]
-        while frontier:
-            nxt = []
-            for sid in frontier:
-                succs, enabled[sid], _ = self._expand(sid)
-                if not succs:
-                    # stuck state: no run from here can reach good.  Every
-                    # shallower state is expanded: edges hold the search's walk
-                    return (Verdict("fails", states=len(edges),
-                                    note="run reaches a stuck state"),
-                            lambda: self._trace(init, edges.__getitem__, sid), None)
-                kept = []
-                for code, s2 in succs:
-                    if s2 not in edges and not good(s2):
-                        if len(edges) >= self.budget:
-                            return Verdict(
-                                "inconclusive", states=len(edges),
-                                note=f"state budget {self.budget} exhausted"), None, None
-                        edges[s2] = []
-                        nxt.append(s2)
-                    if s2 in edges:
-                        kept.append((code, s2))
-                edges[sid] = kept
-            frontier = nxt
+        index: Dict[int, int] = {init: 0}
+        order: List[int] = [init]
+        enabled: List[int] = []
+        offsets = array("q", [0])
+        targets = array("i")
+        codes = array("i")
+
+        def succ(sid: int) -> List[Tuple[int, int]]:
+            k = index[sid]
+            if k + 1 >= len(offsets):
+                return []
+            return [(codes[e], order[targets[e]])
+                    for e in range(offsets[k], offsets[k + 1])]
+
+        for sid in order:   # grows while it is walked: a breadth-first queue
+            succs, mask, _ = self._expand(sid)
+            if not succs:
+                # stuck state: no run from here can reach good.  Every
+                # shallower state is expanded: succ holds the search's walk
+                return (Verdict("fails", states=len(order),
+                                note="run reaches a stuck state"),
+                        lambda: self._trace(init, succ, sid), None)
+            enabled.append(mask)
+            for code, s2 in succs:
+                k2 = index.get(s2)
+                if k2 is None:
+                    if good(s2):
+                        continue
+                    if len(order) >= self.budget:
+                        return Verdict(
+                            "inconclusive", states=len(order),
+                            note=f"state budget {self.budget} exhausted"), None, None
+                    k2 = index[s2] = len(order)
+                    order.append(s2)
+                targets.append(k2)
+                codes.append(code)
+            offsets.append(len(targets))
 
         # zero-delay cycles first (fire edges only), then fair ones: SCCs
         # where every controller ever enabled also fires
+        ncars = self._ncars
+        member = bytearray(len(order))      # 1 for the states of the SCC at hand
         loose = False       # some SCC with an internal edge starves no controller
         for fire_only in (True, False):
-            for scc in _tarjan(edges, fire_only):
-                comp = set(scc)
+            for scc in _tarjan(offsets, targets, codes, fire_only):
+                for k in scc:
+                    member[k] = 1
                 internal, fired = False, 0
-                for sid in scc:
-                    for code, s2 in edges[sid]:
-                        if s2 in comp and (code != -1 or not fire_only):
+                for k in scc:
+                    for e in range(offsets[k], offsets[k + 1]):
+                        code = codes[e]
+                        if member[targets[e]] and (code != -1 or not fire_only):
                             internal = True
-                            if code != -1 and (code >> 8) < self._ncars:
+                            if code != -1 and (code >> 8) < ncars:
                                 fired |= 1 << (code >> 8)
-                if not internal:
-                    continue
-                if fire_only:
-                    needed, note = fired, "zero-delay cycle avoids the goal"
-                else:
-                    needed, always, note = 0, -1, "fair cycle avoids the goal"
-                    for sid in scc:
-                        needed |= enabled[sid]
-                        always &= enabled[sid]
-                    loose = loose or not (always & ~fired)
-                    if needed & ~fired:
-                        continue
+                if internal:
+                    if fire_only:
+                        needed, note = fired, "zero-delay cycle avoids the goal"
+                    else:
+                        needed, always, note = 0, -1, "fair cycle avoids the goal"
+                        for k in scc:
+                            needed |= enabled[k]
+                            always &= enabled[k]
+                        loose = loose or not (always & ~fired)
+                    if fire_only or not needed & ~fired:
+                        def witness():
+                            cycle = self._cover_cycle(
+                                order[scc[0]], succ, lambda sid: member[index[sid]],
+                                needed, fire_only)
+                            return self._trace(init, succ, cycle[0][0], cycle)
+                        return (Verdict("fails", states=len(order), note=note), witness,
+                                None if fire_only else False)
+                for k in scc:
+                    member[k] = 0
+        return Verdict("holds", states=len(order)), None, not loose
 
-                def witness():
-                    cycle = self._cover_cycle(scc[0], comp, edges, needed, fire_only)
-                    return self._trace(init, edges.__getitem__, cycle[0][0], cycle)
-                return (Verdict("fails", states=len(edges), note=note), witness,
-                        None if fire_only else False)
-        return Verdict("holds", states=len(edges)), None, not loose
-
-    def _cover_cycle(self, start: int, comp: Set[int], edges,
+    def _cover_cycle(self, start: int, succ, comp: Callable[[int], bool],
                      needed_mask: int, fire_only: bool) -> List[Tuple[int, int, int]]:
-        """A closed walk from start inside the SCC that fires every
-        controller in needed_mask at least once; no delays when fire_only."""
+        """A closed walk from start over succ, inside the SCC whose states
+        satisfy comp, that fires every controller in needed_mask at least
+        once; no delays when fire_only."""
         def inside(sid: int) -> List[Tuple[int, int]]:
-            return [(code, s2) for code, s2 in edges[sid]
-                    if s2 in comp and (code != -1 or not fire_only)]
+            return [(code, s2) for code, s2 in succ(sid)
+                    if comp(s2) and (code != -1 or not fire_only)]
         walk: List[Tuple[int, int, int]] = []
         cur = start
         for i in range(self._ncars):
@@ -1291,9 +1319,18 @@ class Engine:
     def _goal(self, watched: Sequence[str]) -> Callable[[int], bool]:
         """Whether some car of watched that this engine observes has
         completed a lane change in a state."""
-        mults = self._mults
-        ks = [self._live_digit0 + k for w, k in self._live_index.items() if w in watched]
-        return lambda sid: any((sid // mults[k]) % 3 == 2 for k in ks)
+        ms = tuple(self._mults[self._live_digit0 + k]
+                   for w, k in self._live_index.items() if w in watched)
+        if len(ms) == 1:
+            m, = ms
+            return lambda sid: sid // m % 3 == 2
+
+        def goal(sid: int) -> bool:
+            for m in ms:
+                if sid // m % 3 == 2:
+                    return True
+            return False
+        return goal
 
     def _by_group(self, query: Query) -> Verdict:
         """query one interaction group at a time, when that is exact (see
@@ -1426,45 +1463,63 @@ class _Visited:
         return True
 
 
-def _tarjan(edges: Mapping[int, List[Tuple[int, int]]],
-            fire_only: bool) -> List[List[int]]:
-    """Strongly connected components of the region graph, over its fire
-    edges alone when fire_only; iterative, in a deterministic order."""
-    def adj(v: int):
-        return (s2 for code, s2 in edges[v] if code != -1 or not fire_only)
+def _tarjan(offsets: array, targets: array, codes: array,
+            fire_only: bool) -> Iterator[List[int]]:
+    """Strongly connected components of a CSR graph over states
+    0..len(offsets) - 2 (see Engine._af_search), over its fire edges alone
+    (code != -1) when fire_only.
 
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-    for root in edges:
-        if root in index:
+    Iterative Tarjan: roots are taken in state order and each state's
+    edges in CSR order, so the components come out in one deterministic
+    order, and in reverse topological order: when an edge joins two
+    components, its target's is yielded first.  Each component lists its
+    states as they leave the stack, its root last."""
+    n = len(offsets) - 1
+    index = array("i", [-1]) * n    # discovery number; n once yielded
+    low = array("i", [0]) * n
+    stack = array("i")              # Tarjan's stack
+    path = array("i")               # the depth-first path, and for each of
+    resume = array("q")             # its states the next edge to look at
+    count = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
+        index[root] = low[root] = count
+        count += 1
         stack.append(root)
-        work = [(root, adj(root))]
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, adj(w)))
+        path.append(root)
+        resume.append(offsets[root])
+        while path:
+            v = path[-1]
+            e, end = resume[-1], offsets[v + 1]
+            while e < end:
+                w = targets[e]
+                e += 1
+                if fire_only and codes[e - 1] == -1:
+                    continue
+                if index[w] < 0:
                     break
                 if index[w] < low[v]:
                     low[v] = index[w]
             else:
-                work.pop()
-                if work and low[v] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[v]
+                path.pop()
+                resume.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
                 if low[v] == index[v]:
                     comp = []
                     while not comp or comp[-1] != v:
                         comp.append(stack.pop())
                         # off the stack: an index above all others never lowers low
-                        index[comp[-1]] = len(edges)
-                    sccs.append(comp)
-    return sccs
+                        index[comp[-1]] = n
+                    yield comp
+                continue
+            resume[-1] = e
+            index[w] = low[w] = count
+            count += 1
+            stack.append(w)
+            path.append(w)
+            resume.append(offsets[w])
 
 
 # ---------------------------------------------------------------------------

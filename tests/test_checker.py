@@ -2,7 +2,10 @@
 
 import dataclasses
 import random
+import tracemalloc
+from array import array
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -386,6 +389,57 @@ def test_witnesses_are_first_breadth_first_walks():
     for v, want in cases:
         assert v.witness == want, v.note
         replay(v.witness)
+
+
+# --- the liveness region: SCC pass and memory ----------------------------------------
+
+
+@st.composite
+def _csr_graphs(draw):
+    """A random region graph in the CSR form of Engine._af_search: each
+    state's edges as (target, code) with code -1 for a delay."""
+    n = draw(st.integers(1, 12))
+    code = st.sampled_from([-1, -1, 0, 1, 1 << 8, (1 << 8) | 2, 2 << 8])
+    adj = draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), code), max_size=4),
+                        min_size=n, max_size=n))
+    offsets, targets, codes = array("q", [0]), array("i"), array("i")
+    for out in adj:
+        for w, c in out:
+            targets.append(w)
+            codes.append(c)
+        offsets.append(len(targets))
+    return adj, offsets, targets, codes
+
+
+@given(_csr_graphs(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_tarjan_matches_networkx(graph, fire_only):
+    adj, offsets, targets, codes = graph
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from((v, w) for v, out in enumerate(adj) for w, c in out
+                     if c != -1 or not fire_only)
+    sccs = list(checker._tarjan(offsets, targets, codes, fire_only))
+    assert sorted(map(sorted, sccs)) == sorted(map(sorted, nx.strongly_connected_components(g)))
+    # reverse topological order: an edge's target component comes out first
+    yielded = {v: k for k, comp in enumerate(sccs) for v in comp}
+    for v, w in g.edges:
+        assert yielded[w] <= yielded[v], (v, w)
+
+
+def test_liveness_region_memory_per_state():
+    # the whole-road search stores its region as numbered states with CSR
+    # edges; allocation counts do not depend on the machine's speed
+    eng = Engine.for_query(fig1("original"), LivenessCar("A"))
+    tracemalloc.start()
+    try:
+        v = eng._whole(LivenessCar("A"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.outcome, v.states) == ("fails", 5_928)
+    assert v.witness is not None
+    assert peak / v.states <= 300, peak / v.states
 
 
 # --- verdict equality against the reference implementation -------------------------
