@@ -23,11 +23,7 @@ from .checker import (
     SystemState,
     Trace,
     Verdict,
-    check_af,
-    check_ag,
-    deadlock,
     run_query,
-    successors,
 )
 from .scenario import (
     Scenario,
@@ -74,13 +70,9 @@ __all__ = [
     "apply_action",
     "build_controller",
     "canonical_variant",
-    "check_af",
-    "check_ag",
-    "deadlock",
     "load_scenario",
     "loads",
     "run_query",
     "standard_view",
-    "successors",
     "write_scenario",
 ]

@@ -6,11 +6,25 @@ so the reachable space is finite: each car contributes a small set of
 configurations (location, clock value, current lane n, target lane l) and
 a system state is one configuration per car plus observer locations.
 
+Configurations are normalised, by inactive-clock reduction (Daws & Yovine,
+"Reducing the number of clock variables of timed automata", RTSS 1996):
+where a location neither bounds nor reads the clock, x is 0, and in
+cruising and backoff, where nothing reads the target lane, l = n.  Every
+location that reads its clock also bounds it, so no clock needs a cap.
+This is the only encoding; the test oracles check its successors against
+those of raw clocks and target lanes.
+
 Time is discrete.  A step is either ``delay 1`` (every clock advances by
 one, permitted only if no location's clock bound would be exceeded) or a
 single edge firing (one automaton moves, instantaneously).  Location
-invariants are global: a fire or delay whose target state violates any
-automaton's clock bound or spatial invariant is disabled.
+invariants are global: a controller fire whose target state breaks any
+controller's clock bound or spatial invariant is disabled, and so is a
+delay past a clock bound.  A delay or an observer fire changes no lane,
+so it asks no spatial invariant again (an unsafe start may still wait).
+A fire asks only the invariants it can break: the firing car's own and
+those of the cars that see it.  That is the rule above in every state
+that keeps all invariants, but not in one where a third car's invariant
+is already broken.
 
 Two query styles are supported:
 
@@ -37,9 +51,8 @@ invariant and the collision test only ever look at cars of its own
 group.  ``run_query`` answers ``SafetyNoCollision`` and ``NoDeadlock``
 one group at a time, on an engine restricted to the group (same car
 tables, pair lists, horizon and budget, and the group's observers), and
-multiplies the state counts.
-That is exact when every car starts in a configuration whose delay step
-leads back to itself (cruising with a dead clock, the normalised start):
+multiplies the state counts.  That is exact because every car starts
+cruising with a dead clock, so its start is its own delay successor:
 
 * Every product step projects onto one group's step (a fire, or the
   collision observer) or onto a delay in every group, so each group's
@@ -62,13 +75,13 @@ So when every group holds, the query holds with the product of the group
 counts as its state count, or, when that product exceeds the budget, is
 inconclusive with the budget as the count, exactly as a monolithic
 search that never meets a bad state ends.  When the road has one group,
-a start is not a delay fixpoint, or any group fails or is inconclusive,
-the monolithic search runs instead, so every failing verdict, its state
-count and its witness are those of the whole product.  ``check_ag`` with
-a caller's predicate is never decomposed.
+or any group fails or is inconclusive, the monolithic search runs
+instead, so every failing verdict, its state count and its witness are
+those of the whole product.  ``check_ag`` with a caller's predicate is
+never decomposed.
 
 ``LivenessAny`` and ``LivenessCar`` are answered by group as well, but
-only when the answer is ``holds``, under the same gate and with no
+only when the answer is ``holds``, and only on engines without the
 collision observer.  Each group searches the region of its own engine:
 the states reachable without its watched cars' goal, or every reachable
 state in a group without watched cars.  The road holds, with the
@@ -79,10 +92,10 @@ controller in each SCC with an internal edge: the controller is enabled
 in every state of the SCC and fires on none of its internal edges.
 That is exact:
 
-* With delay-fixpoint starts, the padding argument above shows that the
-  road's region is the product of the group regions: the goal is a
-  disjunction over groups, so a run avoids it exactly when each group's
-  part avoids its own.
+* Since every start is a delay fixpoint, the padding argument above
+  shows that the road's region is the product of the group regions: the
+  goal is a disjunction over groups, so a run avoids it exactly when
+  each group's part avoids its own.
 * A product stuck state (no fire anywhere, some group's clock bound
   blocks the delay) projects onto a stuck state of that group, and a
   product cycle of fires projects onto a cycle of fires in some group.
@@ -358,7 +371,6 @@ def _heard(obs: Automaton) -> Dict[int, Tuple[int, ...]]:
 class _FireDesc:
     slot: int
     edge_name: str
-    action: traffic.Action
     action_str: str
     req: int                 # spatial guard kind
     req_lane: int            # lane for claim-free guards
@@ -368,17 +380,15 @@ class _FireDesc:
 
 
 class _CarTable:
-    """All reachable configurations of one controller, with static guards
-    already evaluated and per-config successor material precomputed."""
+    """All configurations of one controller, normalised as the module
+    docstring says, with static guards already evaluated and per-config
+    successor material precomputed."""
 
     def __init__(self, name: str, lane: int, pos: int, size: int,
-                 autom: Automaton, lane_count: int,
-                 normalize: bool, clock_cap: Optional[int]):
+                 autom: Automaton, lane_count: int):
         self.name = name
-        self.lane0 = lane
         self.pos = pos
         self.size = size
-        self.autom = autom
         loc_names = [loc.name for loc in autom.locations]
         self.loc_names = loc_names
         loc_idx = {nm: k for k, nm in enumerate(loc_names)}
@@ -390,33 +400,17 @@ class _CarTable:
             reads_clock = any(
                 isinstance(g, ClockConstraint) for e in out for g in e.guards
             )
-            if normalize and loc.clock_bound is None and not reads_clock:
+            if loc.clock_bound is None and not reads_clock:
                 dead_x.add(loc.name)
 
         configs: List[Tuple[int, int, int, int]] = []
         for loc in autom.locations:
-            if loc.name in dead_x:
-                xs: Sequence[int] = (0,)
-            else:
-                hi = loc.clock_bound
-                if clock_cap is not None:
-                    hi = clock_cap if hi is None else min(hi, clock_cap)
-                if hi is None:
-                    raise CheckerError(
-                        f"location {loc.name!r} has an unbounded live clock; "
-                        f"pass clock_cap to explore it"
-                    )
-                xs = range(hi + 1)
+            xs = (0,) if loc.name in dead_x else range(loc.clock_bound + 1)
             l_dead = loc.name in _L_DEAD_LOCS
             for x in xs:
                 for n in range(lane_count):
-                    if l_dead and normalize:
-                        ls: Sequence[int] = (n,)
-                    elif l_dead:
-                        # stale targets are always within one lane of n
-                        ls = [l for l in (n - 1, n, n + 1) if 0 <= l < lane_count]
-                    else:
-                        ls = [l for l in (n - 1, n + 1) if 0 <= l < lane_count]
+                    ls = (n,) if l_dead else [l for l in (n - 1, n + 1)
+                                              if 0 <= l < lane_count]
                     for l in ls:
                         configs.append((loc_idx[loc.name], x, n, l))
 
@@ -430,11 +424,9 @@ class _CarTable:
         self.inv = [0] * count
         self.delay_next = [-1] * count
         self.fires: List[Tuple[_FireDesc, ...]] = [()] * count
-        self.loc_of = [0] * count
 
         for ci, (li, x, n, l) in enumerate(configs):
             loc = autom.locations[li]
-            self.loc_of[ci] = li
             r, c = _loc_masks(loc.name, n, l)
             self.res_mask[ci] = r
             self.clm_mask[ci] = c
@@ -445,14 +437,8 @@ class _CarTable:
             # delay: x advances unless the location's bound forbids it
             if loc.name in dead_x:
                 self.delay_next[ci] = ci
-            else:
-                nx = x + 1
-                if clock_cap is not None:
-                    nx = min(nx, clock_cap)
-                if loc.clock_bound is not None and nx > loc.clock_bound:
-                    self.delay_next[ci] = -1
-                else:
-                    self.delay_next[ci] = self.cfg_id[(li, nx, n, l)]
+            elif x < loc.clock_bound:
+                self.delay_next[ci] = self.cfg_id[(li, x + 1, n, l)]
 
             fires = []
             for edge in autom.edges_from(loc.name):
@@ -490,24 +476,20 @@ class _CarTable:
                         l2 = val
                     else:
                         raise CheckerError(f"unknown register {var!r}")
-                tgt = autom.location(edge.target)
-                x2 = 0 if edge.reset_clock else x
-                if normalize and tgt.name in dead_x:
-                    x2 = 0
-                if normalize and tgt.name in _L_DEAD_LOCS:
+                tgt = edge.target
+                x2 = 0 if edge.reset_clock or tgt in dead_x else x
+                if tgt in _L_DEAD_LOCS:
                     l2 = n2
-                ti = loc_idx[tgt.name]
+                ti = loc_idx[tgt]
                 target = self.cfg_id.get((ti, x2, n2, l2))
                 if target is None:
                     # target clock bound below the carried clock value, or a
                     # lane pair that cannot arise: edge statically disabled
                     continue
-                act = self._concrete_action(edge.action, n, l)
                 fires.append(_FireDesc(
                     slot=len(fires),
                     edge_name=edge.name,
-                    action=act,
-                    action_str=str(act),
+                    action_str=str(self._concrete_action(edge.action, n, l)),
                     req=req,
                     req_lane=req_lane,
                     req_bit=0 if req_lane < 0 else 1 << req_lane,
@@ -516,10 +498,8 @@ class _CarTable:
                 ))
             self.fires[ci] = tuple(fires)
 
-        init = (loc_idx[autom.initial], 0, lane, lane)
-        if init not in self.cfg_id:
-            raise CheckerError(f"initial configuration of {name!r} not enumerable")
-        self.initial = self.cfg_id[init]
+        # the initial location is cruising: dead clock, l = n
+        self.initial = self.cfg_id[(loc_idx[autom.initial], 0, lane, lane)]
 
     @staticmethod
     def _concrete_action(action, n: int, l: int) -> traffic.Action:
@@ -632,8 +612,6 @@ class Engine:
                  live_observers: Sequence[str] = (),
                  guard_mode: str = "interval",
                  budget: Optional[int] = None,
-                 normalize: bool = True,
-                 clock_cap: Optional[int] = None,
                  horizon: Optional[int] = None):
         if lane_count < 1:
             raise CheckerError(f"need at least one lane, got {lane_count}")
@@ -659,8 +637,7 @@ class Engine:
             if size < 1:
                 raise CheckerError(f"car {name!r} needs positive size")
             autom = build_controller(self.variant, name, self.constants)
-            tables.append(_CarTable(name, lane, pos, size, autom, lane_count,
-                                    normalize, clock_cap))
+            tables.append(_CarTable(name, lane, pos, size, autom, lane_count))
 
         if horizon is None:
             lo = min(t.pos for t in tables)
@@ -1056,9 +1033,12 @@ class Engine:
     def _pack_state(self, state: SystemState) -> int:
         digits = []
         for table in self._cars:
-            loc = state.location(table.name)
-            x = state.clock(table.name)
-            cn, cl = state.lanes_of(table.name)
+            try:
+                loc = state.location(table.name)
+                x = state.clock(table.name)
+                cn, cl = state.lanes_of(table.name)
+            except KeyError:
+                raise CheckerError(f"state has no configuration of {table.name!r}") from None
             li = table.loc_names.index(loc) if loc in table.loc_names else -1
             ci = table.cfg_id.get((li, x, cn, cl))
             if ci is None:
@@ -1068,8 +1048,14 @@ class Engine:
                 )
             digits.append(ci)
         for obs in self._observers:
-            loc = state.location(obs.name)
-            digits.append([l.name for l in obs.locations].index(loc))
+            names = [l.name for l in obs.locations]
+            try:
+                loc = state.location(obs.name)
+            except KeyError:
+                raise CheckerError(f"state has no location of {obs.name!r}") from None
+            if loc not in names:
+                raise CheckerError(f"{obs.name!r} has no location {loc!r}")
+            digits.append(names.index(loc))
         return self._pack_digits(digits)
 
     def initial_state(self) -> SystemState:
@@ -1091,10 +1077,9 @@ class Engine:
                  initial: Optional[SystemState] = None) -> Verdict:
         """No reachable state satisfies bad; witness is a shortest bad path."""
         init = self._initial_sid if initial is None else self._pack_state(initial)
-        return self._ag(init, lambda sid, exp: bad(self._to_state(sid)),
-                        needs_expansion=False)
+        return self._ag(init, lambda sid, exp: bad(self._to_state(sid)), False)
 
-    def _ag(self, init: int, bad, *, needs_expansion: bool) -> Verdict:
+    def _ag(self, init: int, bad, needs_expansion: bool) -> Verdict:
         verdict, found = self._ag_search(init, bad, needs_expansion)
         if found is None:
             return verdict
@@ -1308,13 +1293,17 @@ class Engine:
 
     def _whole(self, query: Query) -> Verdict:
         """The monolithic search for query."""
+        if isinstance(query, (LivenessAny, LivenessCar)):
+            return self._af(self._initial_sid, self._goal(self._liveness_targets(query)))
+        return self._ag(self._initial_sid, *self._bad(query))
+
+    def _bad(self, query: Query):
+        """The bad-state test of _ag_search for a NoDeadlock or
+        SafetyNoCollision query, and whether it reads the expansion."""
         if isinstance(query, NoDeadlock):
-            return self._ag(self._initial_sid, self._deadlock_from, needs_expansion=True)
-        if isinstance(query, SafetyNoCollision):
-            unsafe = self._mults[self._coll_digit]
-            return self._ag(self._initial_sid, lambda sid, exp: (sid // unsafe) % 2 == 1,
-                            needs_expansion=False)
-        return self._af(self._initial_sid, self._goal(self._liveness_targets(query)))
+            return self._deadlock_from, True
+        unsafe = self._mults[self._coll_digit]
+        return (lambda sid, exp: (sid // unsafe) % 2 == 1), False
 
     def _goal(self, watched: Sequence[str]) -> Callable[[int], bool]:
         """Whether some car of watched that this engine observes has
@@ -1333,18 +1322,18 @@ class Engine:
         return goal
 
     def _by_group(self, query: Query) -> Verdict:
-        """query one interaction group at a time, when that is exact (see
-        the module docstring); otherwise, or when the groups do not settle
-        it, the monolithic search.
+        """query one interaction group at a time when the road has more
+        than one and, for liveness, no collision observer; otherwise, or
+        when the groups do not settle it, the monolithic search.
 
         The product is the answer when no group rules it out and some
-        group settles it (_group_part)."""
+        group settles it (_group_part).  That needs no test of the start:
+        every start is its own delay successor (module docstring)."""
         liveness = isinstance(query, (LivenessAny, LivenessCar))
         watched = self._liveness_targets(query) if liveness else ()
         groups = self._pair_graph().groups
         explored = 0
-        if (len(groups) > 1 and not (liveness and self._coll_obs is not None)
-                and all(t.delay_next[t.initial] == t.initial for t in self._cars)):
+        if len(groups) > 1 and not (liveness and self._coll_obs is not None):
             product, settled = 1, False
             for group in groups:
                 part, settles = self._restrict(group)._group_part(query, watched)
@@ -1370,11 +1359,12 @@ class Engine:
         goal of the group's cars in watched (a group without any keeps every
         reachable state); it rules the product out with a stuck state, a
         zero-delay cycle or the budget, and settles it when it starves a
-        controller in every SCC with an internal edge (_af_search)."""
+        controller in every SCC with an internal edge (_af_search).  No
+        witness is built: a failing group hands over to the whole road."""
         if isinstance(query, (LivenessAny, LivenessCar)):
             verdict, _, starved = self._af_search(self._initial_sid, self._goal(watched))
             return verdict, starved
-        verdict = self._whole(query)
+        verdict, _ = self._ag_search(self._initial_sid, *self._bad(query))
         return verdict, True if verdict.holds else None
 
     def _liveness_targets(self, query) -> Tuple[str, ...]:
@@ -1523,25 +1513,7 @@ def _tarjan(offsets: array, targets: array, codes: array,
 
 
 # ---------------------------------------------------------------------------
-# module-level entry points
-
-def successors(engine: Engine, state: SystemState) -> List[Tuple[Step, SystemState]]:
-    return engine.successors(state)
-
-
-def deadlock(engine: Engine, state: SystemState) -> bool:
-    return engine.deadlock(state)
-
-
-def check_ag(engine: Engine, bad: Callable[[SystemState], bool],
-             initial: Optional[SystemState] = None) -> Verdict:
-    return engine.check_ag(bad, initial)
-
-
-def check_af(engine: Engine, good: Callable[[SystemState], bool],
-             initial: Optional[SystemState] = None) -> Verdict:
-    return engine.check_af(good, initial)
-
+# module-level entry point
 
 def run_query(sc: Scenario, query: Query, **kwargs) -> Verdict:
     """Build the right engine for the query and run it."""

@@ -1,25 +1,33 @@
 """Slow reference checkers the engine's verdicts are compared against.
 
-formula_successors is a reference successor relation: it answers every
-spatial guard by evaluating its MLSL formula on the full snapshot.  The
-rest recomputes verdicts from the engine's successor relation only, using plain dictionaries over rich SystemState objects and networkx
-graph algorithms: a different traversal (iterative DFS vs the checker's
-BFS), different cycle machinery (networkx SCCs vs hand-rolled Tarjan) and
-a different state representation (structured states vs packed integers).
+FormulaSuccessors is a reference successor relation built from the
+automata and the traffic rules alone, on raw clocks and target lanes:
+guards and invariants are MLSL formulas on the full snapshot, and
+snapshots follow traffic.apply_action.  It reads only the engine's public
+settings, so it checks the engine's normalised car tables, and not just
+its search.  The rest recomputes verdicts from the engine's successor
+relation only, using plain dictionaries over rich SystemState objects and
+networkx graph algorithms: a different traversal (iterative DFS vs the
+checker's BFS), different cycle machinery (networkx SCCs vs hand-rolled
+Tarjan) and a different state representation (structured states vs
+packed integers).
 ag_witness and af_witness rebuild counterexamples from their definition
 as first breadth-first walks, over engine.successors and a deque.
 """
 
+import dataclasses
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 
 from lanecheck import mlsl, traffic
-from lanecheck.checker import (_INV_CC, _INV_PCNONE, _REQ_CLAIMFREE, _REQ_PCNONE,
-                               _REQ_PCSOME, Delay, Engine, Fire, Step, SystemState,
-                               Trace)
-from lanecheck.traffic import CarState, Extent, View
+from lanecheck.automata import (ActClaim, ActReserve, ActTau, ActWithdrawClaim,
+                                ActWithdrawReservation, ClockConstraint, LaneExists,
+                                build_controller, build_observer_collision,
+                                build_observer_live)
+from lanecheck.checker import Delay, Engine, Fire, Step, SystemState, Trace
+from lanecheck.traffic import CarState, Extent, TrafficSnapshot, View
 
 Adjacency = Dict[SystemState, List[Tuple[Step, SystemState]]]
 
@@ -256,99 +264,226 @@ _CC = mlsl.cc_formula()
 _COLLISION = mlsl.collision_formula()
 
 
-def formula_successors(engine: Engine, sid: int, cache: Optional[dict] = None):
-    """Engine._expand(sid) recomputed with every spatial question asked of
-    the formula evaluator on the whole snapshot, not of the pair lists.
+class FormulaSuccessors:
+    """The successor relation of an engine's automata, by definition, on
+    raw states: every controller's clock and target lane as they are,
+    whether or not anything reads them.
 
-    Guards are exists_pc_formula (pc-some, pc-none) and, for claim-free,
-    exists_pc_formula on the snapshot with ego's claim swapped to the
-    wanted lane; every car's invariant (cc_formula, pc-none) is checked on
-    the target state; the collision observer asks the collision formula on
-    a road-wide view.  Answers depend only on the question, the car and
-    the lanes every car holds, so they are memoised in cache on that key;
-    pass one dict per engine to share it across calls.
+    It is built from the engine's public settings alone (lanes, variant,
+    constants, horizon, cars and the observers its initial state holds),
+    with build_controller, build_observer_collision and
+    build_observer_live.  A state is a SystemState whose snapshot is
+    carried along: each controller action is applied with
+    traffic.apply_action.  A step is a controller fire, an observer fire
+    or delay 1, listed in that order: controllers in cars order and each
+    one's edges in automaton order, then the observers in the state's
+    order, then the delay.
+
+    * A controller fires an edge when its guards hold: clock constraints
+      on x, lane arithmetic on n, and the spatial guards as MLSL formulas
+      on the snapshot in the car's standard view: exists_pc_formula for
+      pc-some and pc-none, and for claim-free the same formula on the
+      snapshot with the car's claim on the wanted lane.  The watching
+      observer of the car takes its recv edge for the edge's channel.
+    * An observer fires an edge without recv when its guards hold; the
+      collision guard is collision_formula on a view of the whole road.
+    * A controller fire is kept when the target state keeps every
+      controller's invariants: its clock bound, and its spatial invariant
+      (cc_formula, or no exists_pc_formula for pc-none).
+    * A delay advances every clock, saturating at cap (one more than any
+      clock constant, so a saturated clock compares like a larger one),
+      and is kept when every clock bound holds.
+    * Neither a delay nor an observer fire changes a lane or a controller
+      location, so neither asks a spatial invariant again: an unsafe
+      start, which breaks cc, may still wait and be observed.
+
+    normalise maps a raw state to the engine's encoding.  A clock or a
+    target lane is dead at a location when no path from there reads it
+    before resetting or assigning it (a clock is read by a guard or a
+    location bound; a lane by an action or an assignment); a dead clock
+    becomes 0 and a dead target lane becomes n.  Formula answers depend
+    only on the question, the car and the lanes every car holds, so they
+    are memoised on that key.
     """
-    cache = {} if cache is None else cache
-    cars = engine._cars
-    n = engine._ncars
-    digits = engine._unpack(sid)
-    cfgs = digits[:n]
 
-    def ask(question, i, lane=None):
-        key = (question, i, lane,
-               tuple((t.res_mask[c], t.clm_mask[c]) for t, c in zip(cars, cfgs)))
-        if key not in cache:
-            cache[key] = _formula_answer(engine, question, i, lane, cfgs)
-        return cache[key]
+    def __init__(self, engine: Engine):
+        self.lane_count = engine.lane_count
+        self.horizon = engine.horizon
+        self.controllers = {c: build_controller(engine.variant, c, engine.constants)
+                            for c in engine.car_names}
+        known = {obs.name: obs for obs in map(build_observer_live, engine.car_names)}
+        known["collision-observer"] = build_observer_collision()
+        self.observers = [known[name] for name, _ in engine.initial_state().locations
+                          if name not in self.controllers]
+        autom = next(iter(self.controllers.values()))
+        constants = [loc.clock_bound for loc in autom.locations
+                     if loc.clock_bound is not None]
+        constants += [g.bound for e in autom.edges for g in e.guards
+                      if isinstance(g, ClockConstraint)]
+        self.cap = max(constants) + 1
+        self.dead_x = _dead_at(autom, lambda e: any(
+            isinstance(g, ClockConstraint) for g in e.guards),
+            lambda e: e.reset_clock,
+            lambda loc: loc.clock_bound is not None)
+        self.dead_l = _dead_at(autom, lambda e: _reads_l(e.action) or any(
+            expr.var == "l" for _, expr in e.assigns),
+            lambda e: any(var == "l" for var, _ in e.assigns))
+        self.cache: dict = {}
 
-    def violated(j):
-        inv = cars[j].inv[cfgs[j]]
-        return ((inv == _INV_CC and not ask("cc", j))
-                or (inv == _INV_PCNONE and ask("pc", j)))
+    # -- states ---------------------------------------------------------------
 
-    succs: List[Tuple[int, int]] = []
-    enabled = 0
-    for i in range(n):
-        table = cars[i]
-        for fd in table.fires[cfgs[i]]:
-            if fd.req == _REQ_PCSOME and not ask("pc", i):
+    def normalise(self, state: SystemState) -> SystemState:
+        clocks, registers = [], []
+        for (c, x), (_, (n, l)) in zip(state.clocks, state.registers):
+            loc = state.location(c)
+            clocks.append((c, 0 if loc in self.dead_x else x))
+            registers.append((c, (n, n if loc in self.dead_l else l)))
+        return SystemState(state.snapshot, state.locations, tuple(clocks),
+                           tuple(registers))
+
+    def raw_forms(self, state: SystemState) -> List[SystemState]:
+        """state, state with every dead clock at cap, and state with every
+        dead target lane on a neighbouring lane where there is one: raw
+        states that normalise to a normalised state."""
+        capped = tuple((c, self.cap if state.location(c) in self.dead_x else x)
+                       for c, x in state.clocks)
+        moved = []
+        for c, (n, l) in state.registers:
+            if state.location(c) in self.dead_l:
+                l = n + 1 if n + 1 < self.lane_count else max(n - 1, 0)
+            moved.append((c, (n, l)))
+        return [state, dataclasses.replace(state, clocks=capped),
+                dataclasses.replace(state, registers=tuple(moved))]
+
+    # -- the relation ---------------------------------------------------------
+
+    def __call__(self, state: SystemState) -> List[Tuple[Step, SystemState]]:
+        where = dict(state.locations)
+        clocks = dict(state.clocks)
+        lanes = dict(state.registers)
+        ts = state.snapshot
+        kept: List[Tuple[Step, SystemState]] = []
+        for c, autom in self.controllers.items():
+            x, (n, l) = clocks[c], lanes[c]
+            for edge in autom.edges_from(where[c]):
+                if not all(self._holds(g, ts, c, x, n) for g in edge.guards):
+                    continue
+                act = _traffic_action(edge.action, n, l)
+                values = {"n": n, "l": l}
+                for var, expr in edge.assigns:
+                    values[var] = expr.resolve(n, l)
+                where2 = dict(where, **{c: edge.target})
+                for obs in self.observers:
+                    if edge.emit is not None and obs.car == c:
+                        where2[obs.name] = next(
+                            (e.target for e in obs.edges_from(where[obs.name])
+                             if e.recv == edge.emit), where[obs.name])
+                target = (where2, dict(clocks, **{c: 0 if edge.reset_clock else x}),
+                          dict(lanes, **{c: (values["n"], values["l"])}),
+                          traffic.apply_action(ts, c, act))
+                if self._invariants_hold(*target):
+                    kept.append((Fire(c, edge.name, str(act)), self._state(state, *target)))
+        for obs in self.observers:
+            for edge in obs.edges_from(where[obs.name]):
+                if edge.recv is None and all(self._holds(g, ts, None, 0, 0)
+                                             for g in edge.guards):
+                    kept.append((Fire(obs.name, edge.name, str(edge.action)),
+                                 self._state(state, dict(where, **{obs.name: edge.target}),
+                                             clocks, lanes, ts)))
+        waited = {c: min(x + 1, self.cap) for c, x in clocks.items()}
+        if self._clock_bounds_hold(where, waited):
+            kept.append((Delay(1), self._state(state, where, waited, lanes, ts)))
+        return kept
+
+    @staticmethod
+    def _state(like: SystemState, where, clocks, lanes, ts) -> SystemState:
+        return SystemState(ts, tuple((a, where[a]) for a, _ in like.locations),
+                           tuple((c, clocks[c]) for c, _ in like.clocks),
+                           tuple((c, lanes[c]) for c, _ in like.registers))
+
+    def _clock_bounds_hold(self, where, clocks) -> bool:
+        for c, autom in self.controllers.items():
+            bound = autom.location(where[c]).clock_bound
+            if bound is not None and clocks[c] > bound:
+                return False
+        return True
+
+    def _invariants_hold(self, where, clocks, lanes, ts) -> bool:
+        if not self._clock_bounds_hold(where, clocks):
+            return False
+        for c, autom in self.controllers.items():
+            inv = autom.location(where[c]).spatial_inv
+            if inv is None:
                 continue
-            if fd.req == _REQ_PCNONE and ask("pc", i):
-                continue
-            if fd.req == _REQ_CLAIMFREE and ask("pc-claim", i, fd.req_lane):
-                continue
-            old = cfgs[i]
-            cfgs[i] = fd.target
-            broken = any(violated(j) for j in range(n))
-            cfgs[i] = old
-            if broken:
-                continue
-            enabled |= 1 << i
-            new_digits = list(digits)
-            new_digits[i] = fd.target
-            if table.name in engine._live_index:
-                w = engine._live_index[table.name]
-                k = engine._live_digit0 + w
-                loc = table.loc_names[table.configs[cfgs[i]][0]]
-                emit = next(e.emit for e in table.autom.edges_from(loc)
-                            if e.name == fd.edge_name)
-                new_digits[k] = _observer_hears(engine._live_obs[w], digits[k], emit)
-            succs.append(((i << 8) | fd.slot, engine._pack_digits(new_digits)))
+            if inv.kind == "cc" and not self._ask("cc", ts, c):
+                return False
+            if inv.kind == "pc-none" and self._ask("pc", ts, c):
+                return False
+        return True
 
-    any_fire = bool(succs)
-    cd = engine._coll_digit
-    if cd >= 0 and digits[cd] == 0 and ask("collision", None):
-        new_digits = list(digits)
-        new_digits[cd] = 1
-        succs.append((engine._collide_code, engine._pack_digits(new_digits)))
-        any_fire = True
+    def _holds(self, g, ts: TrafficSnapshot, c, x: int, n: int) -> bool:
+        if isinstance(g, ClockConstraint):
+            return g.holds(x)
+        if isinstance(g, LaneExists):
+            return 0 <= n + g.delta < self.lane_count
+        if g.kind == "pc-some":
+            return self._ask("pc", ts, c)
+        if g.kind == "pc-none":
+            return not self._ask("pc", ts, c)
+        if g.kind == "claim-free":
+            return not self._ask("pc-claim", ts, c, n + g.delta)
+        if g.kind == "collision-some":
+            return self._ask("collision", ts, None)
+        raise AssertionError(f"unexpected guard {g}")
 
-    delayed = [cars[i].delay_next[cfgs[i]] for i in range(n)]
-    if all(d >= 0 for d in delayed):
-        succs.append((-1, engine._pack_digits(delayed + digits[n:])))
-    return succs, enabled, any_fire
+    def _ask(self, question: str, ts: TrafficSnapshot, ego, lane=None) -> bool:
+        key = (question, ego, lane,
+               tuple((c, car.res, car.clm) for c, car in sorted(ts.cars.items())))
+        if key not in self.cache:
+            self.cache[key] = self._formula_answer(question, ts, ego, lane)
+        return self.cache[key]
 
-
-def _observer_hears(obs, here: int, channel) -> int:
-    """The observer's location index after a controller emits on channel:
-    the target of its recv edge for the channel, or here when it has none."""
-    names = [loc.name for loc in obs.locations]
-    for e in obs.edges:
-        if e.source == names[here] and e.recv is not None and e.recv == channel:
-            return names.index(e.target)
-    return here
+    def _formula_answer(self, question: str, ts: TrafficSnapshot, ego, lane) -> bool:
+        if question == "collision":
+            lo = min(car.pos for car in ts.cars.values()) - 1
+            hi = max(car.pos + car.size for car in ts.cars.values()) + 1
+            view = View(0, self.lane_count - 1, Extent(lo, hi))
+            return mlsl.eval(ts, view, {"ego": next(iter(ts.cars))}, _COLLISION)
+        if question == "pc-claim":
+            car = ts.car(ego)
+            ts = ts.with_car(ego, CarState(car.pos, car.size, car.res, {lane}))
+        view = traffic.standard_view(ts, ego, self.horizon)
+        return mlsl.eval(ts, view, {"ego": ego}, _CC if question == "cc" else _PC)
 
 
-def _formula_answer(engine: Engine, question: str, i, lane, cfgs) -> bool:
-    ts = engine._snapshot_of(cfgs)
-    if question == "collision":
-        lo = min(t.pos for t in engine._cars) - 1
-        hi = max(t.pos + t.size for t in engine._cars) + 1
-        view = View(0, engine.lane_count - 1, Extent(lo, hi))
-        return mlsl.eval(ts, view, {"ego": engine._cars[0].name}, _COLLISION)
-    ego = engine._cars[i].name
-    if question == "pc-claim":
-        car = ts.car(ego)
-        ts = ts.with_car(ego, CarState(car.pos, car.size, car.res, {lane}))
-    view = traffic.standard_view(ts, ego, engine.horizon)
-    return mlsl.eval(ts, view, {"ego": ego}, _CC if question == "cc" else _PC)
+def _dead_at(autom, reads, overwrites, held=lambda loc: False) -> set:
+    """Locations of autom where a variable is dead: no path from there
+    reaches a read of it (held(location), or reads(edge) on an edge
+    taken) before an edge that overwrites it (a backward fixpoint)."""
+    live = {loc.name for loc in autom.locations if held(loc)}
+    live |= {e.source for e in autom.edges if reads(e)}
+    grown = True
+    while grown:
+        before = len(live)
+        live |= {e.source for e in autom.edges if e.target in live and not overwrites(e)}
+        grown = len(live) > before
+    return {loc.name for loc in autom.locations} - live
+
+
+def _reads_l(action) -> bool:
+    lane = getattr(action, "lane", None)
+    return lane is not None and lane.var == "l"
+
+
+def _traffic_action(action, n: int, l: int) -> traffic.Action:
+    if isinstance(action, ActClaim):
+        return traffic.Claim(action.lane.resolve(n, l))
+    if isinstance(action, ActWithdrawClaim):
+        return traffic.WithdrawClaim()
+    if isinstance(action, ActReserve):
+        return traffic.Reserve()
+    if isinstance(action, ActWithdrawReservation):
+        return traffic.WithdrawReservation(action.lane.resolve(n, l))
+    if isinstance(action, ActTau):
+        return traffic.Tau()
+    raise AssertionError(f"unknown action {action!r}")

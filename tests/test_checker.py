@@ -1,6 +1,8 @@
 """Engine behaviour: exploration, verdicts, witnesses, budgets, query plumbing."""
 
 import dataclasses
+import itertools
+import json
 import random
 import tracemalloc
 from array import array
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lanecheck import checker, mlsl, traffic
-from lanecheck.automata import Constants
+from lanecheck.automata import VARIANTS, ClockConstraint, Constants, build_controller
 from lanecheck.checker import (
     BUDGET_ENV_VAR,
     CheckerError,
@@ -27,6 +29,7 @@ from lanecheck.checker import (
 from lanecheck.scenario import Scenario, ScenarioCar, load_scenario
 from lanecheck.traffic import CarState, TrafficSnapshot
 
+import dump_verdicts
 import oracles
 from support import fig1, replay
 
@@ -99,13 +102,6 @@ def test_successor_states_are_live_engine_states():
         eng.successors(s2)   # packs back without error
 
 
-def test_module_level_wrappers():
-    eng = Engine.for_query(fig1(), NoDeadlock())
-    init = eng.initial_state()
-    assert checker.successors(eng, init) == eng.successors(init)
-    assert checker.deadlock(eng, init) == eng.deadlock(init)
-
-
 def test_random_walks_replay_through_traffic_rules():
     rng = random.Random(7)
     for variant in ("original", "live"):
@@ -127,6 +123,17 @@ def test_foreign_state_is_rejected():
     with pytest.raises(CheckerError) as err:
         narrow.successors(state)
     assert "not an engine configuration" in str(err.value)
+    live = Engine.for_query(fig1(), LivenessCar("A"))
+    # a state without the observer, and one with the observer nowhere
+    with pytest.raises(CheckerError, match=r"no location of 'observer\(A\)'"):
+        live.successors(state)
+    init = live.initial_state()
+    lost = dataclasses.replace(init, locations=tuple(
+        (name, "nowhere" if name == "observer(A)" else loc) for name, loc in init.locations))
+    with pytest.raises(CheckerError, match=r"'observer\(A\)' has no location 'nowhere'"):
+        live.successors(lost)
+    with pytest.raises(CheckerError, match="no configuration of 'E'"):
+        Engine(4, [("E", 0, 0, 5)]).successors(narrow.initial_state())
 
 
 def test_state_and_trace_documents():
@@ -529,7 +536,10 @@ def test_pair_probes_share_one_geometry(pa, sa, pb, sb, horizon):
 
 
 def test_formula_successors_match_engine():
-    # one engine walks every reachable state, so later states hit the rows
+    # every engine-reachable state, as it is and in two raw forms (dead
+    # clocks at the cap, dead target lanes moved): the definitional
+    # relation's successors, normalised, are the engine's, in its order.
+    # One engine walks every reachable state, so later states hit the rows
     # that earlier ones memoised
     fig = three_lane_fig1("original")
     roads = [
@@ -554,19 +564,26 @@ def test_formula_successors_match_engine():
     # row keys of A and B span C's digit
     roads.append((2, [("A", 0, 0, 4), ("C", 1, 40, 4), ("B", 1, 2, 4)],
                   {"collision_observer": True}))
-    roads.append((3, [("A", 0, 0, 4), ("B", 2, 2, 4)],
-                  {"normalize": False, "clock_cap": 6}))
+    # timed claims: a live clock in claimed, a dead one in cruising
+    roads.append((3, [("A", 0, 0, 4), ("B", 2, 2, 4)], {"variant": "original-plus-tw"}))
     for lanes, cars, kwargs in roads:
         eng = Engine(lanes, cars, **kwargs)
         probed = Engine(lanes, cars, guard_mode="mlsl", **kwargs)
-        cache = {}
+        reference = oracles.FormulaSuccessors(eng)
         seen = {eng._initial_sid}
         stack = [eng._initial_sid]
         while stack:
             sid = stack.pop()
             expansion = eng._expand(sid)
-            assert oracles.formula_successors(eng, sid, cache) == expansion, sid
             assert probed._expand(sid) == expansion, sid
+            state = eng._to_state(sid)
+            want = eng.successors(state)
+            for raw in reference.raw_forms(state):
+                assert reference.normalise(raw) == state
+                got = [(step, reference.normalise(s2)) for step, s2 in reference(raw)]
+                # SystemState equality leaves the snapshot out
+                assert got == want, raw
+                assert [s2.snapshot for _, s2 in got] == [s2.snapshot for _, s2 in want]
             for _, s2 in expansion[0]:
                 if s2 not in seen:
                     seen.add(s2)
@@ -635,24 +652,39 @@ def test_row_memo_misses_on_a_dense_chain(monkeypatch):
     assert sum(misses) < 0.15 * len(expansions)
 
 
+def test_every_start_is_its_own_delay_successor():
+    # the group decomposition pads group runs with waits at their start,
+    # which needs a start that waiting leaves unchanged (checker module
+    # docstring); the car tables pin dead clocks, and need every clock a
+    # location reads to be bounded there
+    for variant in VARIANTS:
+        for t, t_lc, t_w in itertools.product((1, 2, 3), repeat=3):
+            consts = Constants(t=t, t_lc=t_lc, t_w=t_w, wait_lo=1, wait_hi=4)
+            eng = Engine(3, [("A", 0, 0, 4), ("B", 1, 2, 4), ("C", 2, 30, 4)],
+                         variant, consts)
+            for table in eng._cars:
+                assert table.delay_next[table.initial] == table.initial, (variant, consts)
+            autom = build_controller(variant, "A", consts)
+            for loc in autom.locations:
+                if any(isinstance(g, ClockConstraint)
+                       for e in autom.edges_from(loc.name) for g in e.guards):
+                    assert loc.clock_bound is not None, (variant, loc.name)
+
+
+def test_verdict_dump_runs_one_case(capsys):
+    labels = [label for label, _ in dump_verdicts.cases()]
+    assert len(set(labels)) == len(labels) == 243
+    case = "fig1/original/safety/budget=default/interval"
+    assert dump_verdicts.main([case]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    doc = json.loads(line)
+    assert (doc["case"], doc["outcome"], doc["states"], doc["explored"], doc["witness"]) == (
+        case, "holds", 417 * 52, 417 + 52, None)
+
+
 def test_bad_guard_mode():
     with pytest.raises(CheckerError):
         run_query(tiny(), NoDeadlock(), guard_mode="fast")
-
-
-def test_unnormalized_clocks_keep_verdicts():
-    sc = tiny("original-plus-tw")
-    for query in ALL_QUERIES:
-        base = run_query(sc, query)
-        raw = run_query(sc, query, normalize=False, clock_cap=6)
-        assert base.outcome == raw.outcome, query
-        assert base.states <= raw.states
-
-
-def test_unbounded_clock_needs_a_cap():
-    with pytest.raises(CheckerError) as err:
-        run_query(tiny(), NoDeadlock(), normalize=False)
-    assert "clock_cap" in str(err.value)
 
 
 # --- interaction groups ------------------------------------------------------------
@@ -773,7 +805,8 @@ def test_liveness_with_the_collision_observer_is_not_decomposed():
     _same_answer(v, eng._whole(LivenessCar("A")))
 
 
-def test_failing_group_falls_back_to_the_whole_road():
+def _failing_group_roads():
+    """(engine, query) pairs where some interaction group fails."""
     # an unsafe start in one group, a lone car in the other
     unsafe = [("A", 0, 0, 5), ("B", 0, 3, 5), ("C", 1, 40, 5)]
     # two lone cars on one lane: each group deadlocks at once
@@ -785,7 +818,11 @@ def test_failing_group_falls_back_to_the_whole_road():
                                        (1, stuck, NoDeadlock(), {}),
                                        (2, timelock, LivenessAny(),
                                         {"variant": "live", "horizon": 5})):
-        eng = _group_engine(lanes, cars, query, **kwargs)
+        yield _group_engine(lanes, cars, query, **kwargs), query
+
+
+def test_failing_group_falls_back_to_the_whole_road():
+    for eng, query in _failing_group_roads():
         v = eng.run_query(query)
         assert v.outcome == "fails"
         _same_answer(v, eng._whole(query))
@@ -793,15 +830,17 @@ def test_failing_group_falls_back_to_the_whole_road():
         replay(v.witness)
 
 
-def test_unnormalized_start_is_not_decomposed():
-    cars = [("A", 0, 0, 4), ("B", 1, 20, 4)]
-    for query in ALL_QUERIES:
-        eng = _group_engine(2, cars, query, variant="original-plus-tw",
-                            normalize=False, clock_cap=6)
-        assert len(eng.interaction_groups()) == 2
+def test_failing_group_builds_one_witness(monkeypatch):
+    # the group searches hand over without a witness; only the whole
+    # road builds one
+    traced = []
+    trace = Engine._trace
+    monkeypatch.setattr(Engine, "_trace",
+                        lambda self, *args: traced.append(self) or trace(self, *args))
+    for eng, query in _failing_group_roads():
+        traced.clear()
         v = eng.run_query(query)
-        assert v.explored == v.states
-        _same_answer(v, eng._whole(query))
+        assert v.outcome == "fails" and traced == [eng], query
 
 
 # --- budgets -------------------------------------------------------------------------
