@@ -16,15 +16,17 @@ those of raw clocks and target lanes.
 
 Time is discrete.  A step is either ``delay 1`` (every clock advances by
 one, permitted only if no location's clock bound would be exceeded) or a
-single edge firing (one automaton moves, instantaneously).  Location
-invariants are global: a controller fire whose target state breaks any
-controller's clock bound or spatial invariant is disabled, and so is a
-delay past a clock bound.  A delay or an observer fire changes no lane,
-so it asks no spatial invariant again (an unsafe start may still wait).
-A fire asks only the invariants it can break: the firing car's own and
-those of the cars that see it.  That is the rule above in every state
-that keeps all invariants, but not in one where a third car's invariant
-is already broken.
+single edge firing (one automaton moves, instantaneously).  A controller
+fire is disabled when its target state breaks the firing car's clock
+bound or a spatial invariant between the firing car and another car: the
+firing car's own invariant, or another controller's invariant against
+the firing car alone.  Spatial invariants are pairwise (a car's lanes
+meet no other car's inside its view), so in a state that keeps every
+invariant this is the same as asking every controller's invariants in
+the target state; the two part only where two other cars already break
+one between them, which a fire neither mends nor is blocked by.  A delay
+or an observer fire changes no lane, so it asks no spatial invariant
+again (an unsafe start may still wait).
 
 Two query styles are supported:
 
@@ -80,39 +82,54 @@ instead, so every failing verdict, its state count and its witness are
 those of the whole product.  ``check_ag`` with a caller's predicate is
 never decomposed.
 
-``LivenessAny`` and ``LivenessCar`` are answered by group as well, but
-only when the answer is ``holds``, and only on engines without the
-collision observer.  Each group searches the region of its own engine:
+``LivenessAny`` and ``LivenessCar`` are answered by group as well, on
+engines without the collision observer, when the answer is ``holds`` or
+a zero-delay cycle.  Each group searches the region of its own engine:
 the states reachable without its watched cars' goal, or every reachable
-state in a group without watched cars.  The road holds, with the
-product of the region sizes as its state count (or is inconclusive at
-the budget, as above), when (a) no group region has a stuck state, (b)
-none has a zero-delay cycle, and (c) some group's region starves a
-controller in each SCC with an internal edge: the controller is enabled
-in every state of the SCC and fires on none of its internal edges.
-That is exact:
+state in a group without watched cars.  Since every start is a delay
+fixpoint, the padding argument above shows that the road's region is
+the product of the group regions: the goal is a disjunction over groups,
+so a run avoids it exactly when each group's part avoids its own.  A
+product stuck state (no fire anywhere, some group's clock bound blocks
+the delay) projects onto a stuck state of that group, and a product
+cycle of fires projects onto a cycle of fires in some group.
 
-* Since every start is a delay fixpoint, the padding argument above
-  shows that the road's region is the product of the group regions: the
-  goal is a disjunction over groups, so a run avoids it exactly when
-  each group's part avoids its own.
-* A product stuck state (no fire anywhere, some group's clock bound
-  blocks the delay) projects onto a stuck state of that group, and a
-  product cycle of fires projects onto a cycle of fires in some group.
-* A product SCC with an internal delay edge projects into one SCC of the
-  group from (c), and that SCC has an internal edge (the delay).  Its
-  starved controller is enabled in every state of the product SCC and
-  fires on none of its internal edges, since such a fire would project
-  onto an internal fire of the group SCC.  So the product SCC is not
-  fair under the rule above, nor does any cycle in it satisfy weak
-  fairness.  A product SCC without an internal delay edge is a cycle of
-  fires, which (b) rules out.
+The road holds, with the product of the region sizes as its state count
+(or is inconclusive at the budget, as above), when (a) no group region
+has a stuck state, (b) none has a zero-delay cycle, and (c) some group's
+region starves a controller in each SCC with an internal edge: the
+controller is enabled in every state of the SCC and fires on none of its
+internal edges.  That is exact: a product SCC with an internal delay
+edge projects into one SCC of the group from (c), and that SCC has an
+internal edge (the delay).  Its starved controller is enabled in every
+state of the product SCC and fires on none of its internal edges, since
+such a fire would project onto an internal fire of the group SCC.  So
+the product SCC is not fair under the rule above, nor does any cycle in
+it satisfy weak fairness.  A product SCC without an internal delay edge
+is a cycle of fires, which (b) rules out.
 
-Otherwise the whole road is searched once more, so failing liveness
-verdicts and their witnesses are those of the whole product too; a group
-with a fair cycle of its own does not settle the query but does not
-stop another group from settling it.  ``check_af`` with a caller's
-predicate is never decomposed.
+The road fails with a zero-delay cycle, with the product of the region
+sizes as its state count (or is inconclusive at the budget), when every
+group region is built to the end without a stuck state and some group's
+has a zero-delay cycle.  That is the whole road's answer: its region has
+no stuck state either, so its search builds all of it, and its fire-only
+pass finds a cycle, since a group's cycle of fires lifts to the product
+with the other groups frozen.  Its witness needs no whole region.  That
+pass is Tarjan's search with roots in state order, and state 0 is the
+start, so it yields every SCC of the states reachable from the start
+over fire edges before any other, in an order fixed by the depth-first
+search from the start over the edge lists.  So the states reachable from
+the start over fire edges alone (without goal states), numbered and
+searched the same way, give the same first SCC with an internal edge
+when they hold one, and the same cycle through it; the stem walks the
+whole region's edges on demand.  When they hold none, the whole road is
+searched.
+
+Otherwise the whole road is searched once more, so other failing
+liveness verdicts and their witnesses are those of the whole product
+too; a group with a fair cycle of its own does not settle the query but
+does not stop another group from settling it.  ``check_af`` with a
+caller's predicate is never decomposed.
 """
 
 from __future__ import annotations
@@ -500,6 +517,26 @@ class _CarTable:
 
         # the initial location is cruising: dead clock, l = n
         self.initial = self.cfg_id[(loc_idx[autom.initial], 0, lane, lane)]
+
+    @functools.cached_property
+    def fires_acyclic(self) -> bool:
+        """Whether the graph of this car's own fires over its configurations
+        has no cycle (Kahn's algorithm).  Computed on the first AF search
+        that asks, not at build: _af_search skips its fire-only SCC pass
+        when every car's graph is acyclic."""
+        indegree = [0] * self.count
+        for fires in self.fires:
+            for fd in fires:
+                indegree[fd.target] += 1
+        ready = [ci for ci in range(self.count) if not indegree[ci]]
+        removed = 0
+        while ready:
+            removed += 1
+            for fd in self.fires[ready.pop()]:
+                indegree[fd.target] -= 1
+                if not indegree[fd.target]:
+                    ready.append(fd.target)
+        return removed == self.count
 
     @staticmethod
     def _concrete_action(action, n: int, l: int) -> traffic.Action:
@@ -1182,7 +1219,13 @@ class Engine:
         expanded has no entry there and reads as having no edges.
         enabled[k] is state k's enabled mask.  order and enabled stay
         lists, since sids and masks can exceed 64 bits.  Witnesses walk the
-        same arrays through succ, which maps state numbers back to sids."""
+        same arrays through succ, which maps state numbers back to sids.
+
+        The fire-only SCC pass is skipped when no car's own fires can
+        cycle (_CarTable.fires_acyclic): a cycle of fires in the region
+        would project onto a closed walk of some car's own fires, since
+        the collision observer only ever moves from 0 to 1 and the
+        progress observers move only with their car."""
         if good(init):
             return Verdict("holds", states=1), None, True
 
@@ -1193,12 +1236,7 @@ class Engine:
         targets = array("i")
         codes = array("i")
 
-        def succ(sid: int) -> List[Tuple[int, int]]:
-            k = index[sid]
-            if k + 1 >= len(offsets):
-                return []
-            return [(codes[e], order[targets[e]])
-                    for e in range(offsets[k], offsets[k + 1])]
+        succ = _csr_succ(order, index, offsets, targets, codes)
 
         for sid in order:   # grows while it is walked: a breadth-first queue
             succs, mask, _ = self._expand(sid)
@@ -1227,40 +1265,73 @@ class Engine:
         # zero-delay cycles first (fire edges only), then fair ones: SCCs
         # where every controller ever enabled also fires
         ncars = self._ncars
-        member = bytearray(len(order))      # 1 for the states of the SCC at hand
+        member = bytearray(len(order))      # the SCC at hand (_cycles)
         loose = False       # some SCC with an internal edge starves no controller
-        for fire_only in (True, False):
-            for scc in _tarjan(offsets, targets, codes, fire_only):
-                for k in scc:
-                    member[k] = 1
-                internal, fired = False, 0
-                for k in scc:
-                    for e in range(offsets[k], offsets[k + 1]):
-                        code = codes[e]
-                        if member[targets[e]] and (code != -1 or not fire_only):
-                            internal = True
-                            if code != -1 and (code >> 8) < ncars:
-                                fired |= 1 << (code >> 8)
-                if internal:
-                    if fire_only:
-                        needed, note = fired, "zero-delay cycle avoids the goal"
-                    else:
-                        needed, always, note = 0, -1, "fair cycle avoids the goal"
-                        for k in scc:
-                            needed |= enabled[k]
-                            always &= enabled[k]
-                        loose = loose or not (always & ~fired)
-                    if fire_only or not needed & ~fired:
-                        def witness():
-                            cycle = self._cover_cycle(
-                                order[scc[0]], succ, lambda sid: member[index[sid]],
-                                needed, fire_only)
-                            return self._trace(init, succ, cycle[0][0], cycle)
-                        return (Verdict("fails", states=len(order), note=note), witness,
-                                None if fire_only else False)
-                for k in scc:
-                    member[k] = 0
+        passes = (False,) if all(t.fires_acyclic for t in self._cars) else (True, False)
+        for fire_only in passes:
+            for scc, fired in _cycles(offsets, targets, codes, fire_only, member, ncars):
+                if fire_only:
+                    needed, note = fired, "zero-delay cycle avoids the goal"
+                else:
+                    needed, always, note = 0, -1, "fair cycle avoids the goal"
+                    for k in scc:
+                        needed |= enabled[k]
+                        always &= enabled[k]
+                    loose = loose or not (always & ~fired)
+                if fire_only or not needed & ~fired:
+                    def witness():
+                        cycle = self._cover_cycle(
+                            order[scc[0]], succ, lambda sid: member[index[sid]],
+                            needed, fire_only)
+                        return self._trace(init, succ, cycle[0][0], cycle)
+                    return (Verdict("fails", states=len(order), note=note), witness,
+                            None if fire_only else False)
         return Verdict("holds", states=len(order)), None, not loose
+
+    def _zero_delay_witness(self, good) -> Tuple[Optional[Trace], int]:
+        """The witness _af_search builds for a zero-delay cycle, found
+        without the whole region when the region has no stuck state and
+        fits the budget (see _by_group), and the number of states stored:
+        None when it is not found this way.
+
+        It numbers the states reachable from the start over fire edges
+        alone, in the CSR layout of _af_search, and runs the same
+        fire-only SCC pass over them.  Both passes make one depth-first
+        search from state 0, the start, over the same edge lists, and every
+        state numbered here lies in that first search tree, so the first
+        SCC with an internal edge found here is the first one the whole
+        region yields; when there is none here, the whole region may still
+        have one.  The cover cycle walks the same fire edges, and the stem
+        walks _expand with good states dropped, which are the edges the
+        whole region keeps."""
+        init = self._initial_sid
+        index: Dict[int, int] = {init: 0}
+        order: List[int] = [init]
+        offsets = array("q", [0])
+        targets = array("i")
+        codes = array("i")
+        for sid in order:
+            for code, s2 in self._expand(sid)[0]:
+                if code == -1:
+                    continue
+                k2 = index.get(s2)
+                if k2 is None:
+                    if good(s2):
+                        continue
+                    k2 = index[s2] = len(order)
+                    order.append(s2)
+                targets.append(k2)
+                codes.append(code)
+            offsets.append(len(targets))
+        member = bytearray(len(order))
+        for scc, fired in _cycles(offsets, targets, codes, True, member, self._ncars):
+            cycle = self._cover_cycle(order[scc[0]],
+                                      _csr_succ(order, index, offsets, targets, codes),
+                                      lambda sid: member[index[sid]], fired, True)
+            stem = lambda sid: [(code, s2) for code, s2 in self._expand(sid)[0]
+                                if not good(s2)]
+            return self._trace(init, stem, cycle[0][0], cycle), len(order)
+        return None, len(order)
 
     def _cover_cycle(self, start: int, succ, comp: Callable[[int], bool],
                      needed_mask: int, fire_only: bool) -> List[Tuple[int, int, int]]:
@@ -1327,27 +1398,37 @@ class Engine:
         when the groups do not settle it, the monolithic search.
 
         The product is the answer when no group rules it out and some
-        group settles it (_group_part).  That needs no test of the start:
-        every start is its own delay successor (module docstring)."""
+        group settles it (_group_part), or, for liveness, when every group
+        region is complete and some group's has a zero-delay cycle.  That
+        needs no test of the start: every start is its own delay successor
+        (module docstring)."""
         liveness = isinstance(query, (LivenessAny, LivenessCar))
         watched = self._liveness_targets(query) if liveness else ()
         groups = self._pair_graph().groups
         explored = 0
         if len(groups) > 1 and not (liveness and self._coll_obs is not None):
-            product, settled = 1, False
+            product, settled, cycle = 1, False, ""
             for group in groups:
                 part, settles = self._restrict(group)._group_part(query, watched)
                 explored += part.explored
                 if settles is None:
-                    break
+                    if not part.note.startswith("zero-delay"):
+                        break   # a stuck state, a failing AG search or the budget
+                    cycle = part.note
                 product *= part.states
-                settled = settled or settles
+                settled = settled or bool(settles)
             else:
-                if settled:
-                    if product <= self.budget:
-                        return Verdict("holds", states=product, explored=explored)
+                if (settled or cycle) and product > self.budget:
                     return Verdict("inconclusive", states=self.budget, explored=explored,
                                    note=f"state budget {self.budget} exhausted")
+                if cycle:
+                    witness, stored = self._zero_delay_witness(self._goal(watched))
+                    explored += stored
+                    if witness is not None:
+                        return Verdict("fails", witness, states=product, note=cycle,
+                                       explored=explored)
+                elif settled:
+                    return Verdict("holds", states=product, explored=explored)
         whole = self._whole(query)
         return replace(whole, explored=explored + whole.explored)
 
@@ -1357,10 +1438,12 @@ class Engine:
         settles the product answer: None when it rules that answer out.  An
         AG search settles it when it holds.  A liveness region avoids the
         goal of the group's cars in watched (a group without any keeps every
-        reachable state); it rules the product out with a stuck state, a
-        zero-delay cycle or the budget, and settles it when it starves a
-        controller in every SCC with an internal edge (_af_search).  No
-        witness is built: a failing group hands over to the whole road."""
+        reachable state); it rules a holding product out with a stuck
+        state, a zero-delay cycle or the budget, and settles it when it
+        starves a controller in every SCC with an internal edge
+        (_af_search).  The verdict's note tells a zero-delay cycle apart.
+        No witness is built: the road's witness comes from the whole-road
+        engine."""
         if isinstance(query, (LivenessAny, LivenessCar)):
             verdict, _, starved = self._af_search(self._initial_sid, self._goal(watched))
             return verdict, starved
@@ -1510,6 +1593,44 @@ def _tarjan(offsets: array, targets: array, codes: array,
             stack.append(w)
             path.append(w)
             resume.append(offsets[w])
+
+
+def _cycles(offsets: array, targets: array, codes: array, fire_only: bool,
+            member: bytearray, ncars: int) -> Iterator[Tuple[List[int], int]]:
+    """The components of _tarjan(offsets, targets, codes, fire_only) that
+    have an internal edge (a fire edge when fire_only), in its order, each
+    with the mask of the controllers (codes below ncars << 8) that fire on
+    an internal edge.  member[k] is 1 for the states of the component just
+    yielded, and 0 for every other state, until the generator resumes."""
+    for scc in _tarjan(offsets, targets, codes, fire_only):
+        for k in scc:
+            member[k] = 1
+        internal, fired = False, 0
+        for k in scc:
+            for e in range(offsets[k], offsets[k + 1]):
+                code = codes[e]
+                if member[targets[e]] and (code != -1 or not fire_only):
+                    internal = True
+                    if code != -1 and (code >> 8) < ncars:
+                        fired |= 1 << (code >> 8)
+        if internal:
+            yield scc, fired
+        for k in scc:
+            member[k] = 0
+
+
+def _csr_succ(order: List[int], index: Dict[int, int], offsets: array,
+              targets: array, codes: array) -> Callable[[int], List[Tuple[int, int]]]:
+    """The edges (code, sid) of a numbered region in CSR form (see
+    Engine._af_search), looked up by sid; a state found but not expanded
+    has none."""
+    def succ(sid: int) -> List[Tuple[int, int]]:
+        k = index[sid]
+        if k + 1 >= len(offsets):
+            return []
+        return [(codes[e], order[targets[e]])
+                for e in range(offsets[k], offsets[k + 1])]
+    return succ
 
 
 # ---------------------------------------------------------------------------

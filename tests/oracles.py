@@ -288,8 +288,11 @@ class FormulaSuccessors:
     * An observer fires an edge without recv when its guards hold; the
       collision guard is collision_formula on a view of the whole road.
     * A controller fire is kept when the target state keeps every
-      controller's invariants: its clock bound, and its spatial invariant
-      (cc_formula, or no exists_pc_formula for pc-none).
+      controller's clock bound and the spatial invariants (cc_formula, or
+      no exists_pc_formula for pc-none) between the firing car and each
+      other car, as the checker module docstring states: the firing
+      car's own on the full snapshot, and each other controller's on the
+      snapshot of that controller and the firing car alone.
     * A delay advances every clock, saturating at cap (one more than any
       clock constant, so a saturated clock compares like a larger one),
       and is kept when every clock bound holds.
@@ -381,7 +384,7 @@ class FormulaSuccessors:
                 target = (where2, dict(clocks, **{c: 0 if edge.reset_clock else x}),
                           dict(lanes, **{c: (values["n"], values["l"])}),
                           traffic.apply_action(ts, c, act))
-                if self._invariants_hold(*target):
+                if self._invariants_hold(c, *target):
                     kept.append((Fire(c, edge.name, str(act)), self._state(state, *target)))
         for obs in self.observers:
             for edge in obs.edges_from(where[obs.name]):
@@ -408,16 +411,18 @@ class FormulaSuccessors:
                 return False
         return True
 
-    def _invariants_hold(self, where, clocks, lanes, ts) -> bool:
+    def _invariants_hold(self, firing, where, clocks, lanes, ts) -> bool:
         if not self._clock_bounds_hold(where, clocks):
             return False
         for c, autom in self.controllers.items():
             inv = autom.location(where[c]).spatial_inv
             if inv is None:
                 continue
-            if inv.kind == "cc" and not self._ask("cc", ts, c):
+            pair = ts if c == firing else TrafficSnapshot(
+                ts.lane_count, {firing: ts.car(firing), c: ts.car(c)})
+            if inv.kind == "cc" and not self._ask("cc", pair, c):
                 return False
-            if inv.kind == "pc-none" and self._ask("pc", ts, c):
+            if inv.kind == "pc-none" and self._ask("pc", pair, c):
                 return False
         return True
 

@@ -9,6 +9,7 @@ from array import array
 
 import networkx as nx
 import pytest
+import hypothesis
 from hypothesis import given, settings, strategies as st
 
 from lanecheck import checker, mlsl, traffic
@@ -388,11 +389,25 @@ def test_witnesses_are_first_breadth_first_walks():
         eng = Engine.for_query(sc, query)
         cars = sc.car_names() if isinstance(query, LivenessAny) else [query.car]
         af(eng, oracles.success_goal(cars), eng.run_query(query))
+    # a goal that the first walk over every edge passes through: the stems
+    # to tiny's zero-delay cycle and to the stuck state of stuck_road's
+    # cars under original-plus-tw start with A's claim, and must start
+    # with B's inside the region.  The zero-delay witness that _by_group
+    # builds from the start's fire edges walks the same stem
+    a_first = lambda s: s.location("A") == "claimed" and s.location("B") == "cruising"
+    stuck_cars = [(c.name, c.lane, c.pos, c.size) for c in stuck_road().cars]
+    for eng in (Engine(2, [("A", 0, 0, 4), ("B", 1, 2, 4)]),
+                Engine(2, stuck_cars, "original-plus-tw", horizon=5)):
+        af(eng, a_first, eng.check_af(a_first))
+    eng = Engine(2, [("A", 0, 0, 4), ("B", 1, 2, 4)])
+    zero_delay, stored = eng._zero_delay_witness(lambda sid: a_first(eng._to_state(sid)))
+    assert (zero_delay, stored) == (cases[-2][0].witness, 3)
 
     notes = [v.note for v, _ in cases]
-    assert [v.outcome for v, _ in cases] == ["fails"] * 8
-    assert [len(v.witness.steps) for v, _ in cases] == [0, 1, 2, 0, 6, 5, 31, 5]
+    assert [v.outcome for v, _ in cases] == ["fails"] * 10
+    assert [len(v.witness.steps) for v, _ in cases] == [0, 1, 2, 0, 6, 5, 31, 5, 6, 5]
     assert "zero-delay" in notes[5] and "fair" in notes[6] and "stuck" in notes[7]
+    assert "zero-delay" in notes[8] and "stuck" in notes[9]
     for v, want in cases:
         assert v.witness == want, v.note
         replay(v.witness)
@@ -432,6 +447,58 @@ def test_tarjan_matches_networkx(graph, fire_only):
     yielded = {v: k for k, comp in enumerate(sccs) for v in comp}
     for v, w in g.edges:
         assert yielded[w] <= yielded[v], (v, w)
+
+
+def test_fire_graph_acyclicity_matches_networkx():
+    # each car table's flag against its graph of own fires, config to config
+    for variant in VARIANTS:
+        for t, t_lc, t_w in itertools.product((1, 2, 3), repeat=3):
+            consts = Constants(t=t, t_lc=t_lc, t_w=t_w, wait_lo=1, wait_hi=4)
+            for lanes in (1, 2, 3, 4):
+                table = Engine(lanes, [("A", 0, 0, 4)], variant, consts)._cars[0]
+                g = nx.DiGraph()
+                g.add_nodes_from(range(table.count))
+                g.add_edges_from((ci, fd.target) for ci, fires in enumerate(table.fires)
+                                 for fd in fires)
+                assert table.fires_acyclic == nx.is_directed_acyclic_graph(g), (
+                    variant, consts, lanes)
+
+
+@st.composite
+def _small_roads(draw):
+    """A road of two or three cars close together, any variant, with or
+    without the collision and progress observers."""
+    lanes = draw(st.integers(2, 3))
+    cars = [(name, draw(st.integers(0, lanes - 1)), draw(st.integers(0, 6)),
+             draw(st.integers(2, 5)))
+            for name in "ABC"[:draw(st.integers(2, 3 if lanes < 3 else 2))]]
+    return Engine(lanes, cars, draw(st.sampled_from(VARIANTS)),
+                  collision_observer=draw(st.booleans()),
+                  live_observers=[c[0] for c in cars] if draw(st.booleans()) else (),
+                  horizon=draw(st.sampled_from([None, 3, 5])))
+
+
+@given(_small_roads())
+@settings(max_examples=60, deadline=None)
+def test_acyclic_fire_graphs_leave_no_zero_delay_cycle(eng):
+    # when no car's own fires can cycle, neither can the fires of the whole
+    # reachable graph, observers included: _af_search may skip that pass
+    hypothesis.assume(all(t.fires_acyclic for t in eng._cars))
+    index = {eng._initial_sid: 0}
+    order = [eng._initial_sid]
+    offsets, targets, codes = array("q", [0]), array("i"), array("i")
+    for sid in order:
+        for code, s2 in eng._expand(sid)[0]:
+            if s2 not in index:
+                index[s2] = len(order)
+                order.append(s2)
+            targets.append(index[s2])
+            codes.append(code)
+        offsets.append(len(targets))
+    for scc in checker._tarjan(offsets, targets, codes, True):
+        members = set(scc)
+        assert not any(targets[e] in members and codes[e] != -1
+                       for k in scc for e in range(offsets[k], offsets[k + 1])), scc
 
 
 def test_liveness_region_memory_per_state():
@@ -566,6 +633,10 @@ def test_formula_successors_match_engine():
                   {"collision_observer": True}))
     # timed claims: a live clock in claimed, a dead one in cruising
     roads.append((3, [("A", 0, 0, 4), ("B", 2, 2, 4)], {"variant": "original-plus-tw"}))
+    # A and B already break cc, so a fire of C asks only the invariants
+    # between C and each other car, not A's against B
+    roads.append((2, [("A", 0, 0, 5), ("B", 0, 3, 5), ("C", 1, 2, 5)],
+                  {"collision_observer": True}))
     for lanes, cars, kwargs in roads:
         eng = Engine(lanes, cars, **kwargs)
         probed = Engine(lanes, cars, guard_mode="mlsl", **kwargs)
@@ -773,6 +844,17 @@ def test_group_product_against_budget():
             _same_answer(v, eng._whole(query))
             assert (v.outcome, v.states, v.explored) == (outcome, min(budget, product),
                                                          explored)
+    # fig1 original liveness-car=A: regions of 114 (with a zero-delay
+    # cycle) and 52 (with a fair one), so neither settles a holding
+    # answer.  The product fails at a budget of exactly 5,928, after the
+    # 64 states reachable from the start over fires, and is inconclusive
+    # below it
+    for budget, outcome, explored in ((5_928, "fails", 114 + 52 + 64),
+                                      (5_927, "inconclusive", 114 + 52)):
+        eng = Engine.for_query(fig1(), LivenessCar("A"), budget=budget)
+        v = eng.run_query(LivenessCar("A"))
+        _same_answer(v, eng._whole(LivenessCar("A")))
+        assert (v.outcome, v.states, v.explored) == (outcome, min(budget, 5_928), explored)
 
 
 def test_liveness_holds_as_a_product_of_group_regions():
@@ -795,6 +877,51 @@ def test_liveness_holds_as_a_product_of_group_regions():
     eng = Engine.for_query(fig1("original-plus-tw"), LivenessAny())
     ab = eng._restrict(eng._pair_graph().groups[0])._whole(LivenessAny())
     assert (ab.outcome, ab.note) == ("fails", "fair cycle avoids the goal")
+
+
+def test_zero_delay_failures_come_from_the_group_regions(monkeypatch):
+    # original: some group region has a zero-delay cycle and none a stuck
+    # state, so the product fails without the whole-road search.  explored
+    # is the group regions plus the states reachable from the start over
+    # fires alone (fig1 liveness-car=A: 114 + 52 + 64)
+    fourcars = load_scenario("scenarios/fourcars.scn")
+    pins = {("fig1", "any"): (150, 71), ("fig1", "car"): (5_928, 230),
+            ("three-lane", "any"): (50, 33), ("three-lane", "car"): (1_330, 105),
+            ("fourcars", "any"): (1_350, 224), ("fourcars", "car"): (308_256, 666)}
+    whole = Engine._whole
+    called = []
+    monkeypatch.setattr(Engine, "_whole", lambda self, query: called.append(query))
+    for name, sc in (("fig1", fig1()), ("three-lane", three_lane_fig1()),
+                     ("fourcars", fourcars)):
+        for kind, query in (("any", LivenessAny()), ("car", LivenessCar("A"))):
+            eng = Engine.for_query(sc, query)
+            v = eng.run_query(query)
+            assert not called, (name, kind)
+            assert (v.states, v.explored) == pins[name, kind], (name, kind)
+            want = whole(eng, query)
+            assert want.note == "zero-delay cycle avoids the goal"
+            _same_answer(v, want)
+            replay(v.witness)
+
+
+def test_zero_delay_failure_without_a_cycle_from_the_start():
+    # A and B two lanes apart: their claims meet only after one of them has
+    # changed lanes, which takes delays, so the fires from the start reach
+    # no cycle and the whole road is searched after the groups
+    eng = Engine(4, [("A", 0, 0, 4), ("B", 3, 1, 4), ("E", 0, 40, 4)],
+                 live_observers=("A",))
+    ab = eng._restrict(eng._pair_graph().groups[0])._whole(LivenessCar("A"))
+    assert (ab.outcome, ab.note) == ("fails", "zero-delay cycle avoids the goal")
+    assert eng._zero_delay_witness(eng._goal(("A",))) == (None, 48)
+    v = eng.run_query(LivenessCar("A"))
+    want = eng._whole(LivenessCar("A"))
+    _same_answer(v, want)
+    assert (v.outcome, v.states, v.note) == ("fails", 6_396,
+                                             "zero-delay cycle avoids the goal")
+    # the group regions ({A,B}, then E's 52 states), the fires from the
+    # start, then the whole road
+    assert v.explored == ab.states + 52 + 48 + want.explored
+    replay(v.witness)
 
 
 def test_liveness_with_the_collision_observer_is_not_decomposed():
