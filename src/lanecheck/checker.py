@@ -1,10 +1,13 @@
 """Explicit-state checking of lane-change controllers over a static road.
 
 The network under check is one timed controller per car (plus optional
-observers) running over a shared traffic snapshot.  Positions never move,
-so the reachable space is finite: each car contributes a small set of
-configurations (location, clock value, current lane n, target lane l) and
-a system state is one configuration per car plus observer locations.
+observers) running over a shared traffic snapshot.  Every car runs the
+same controller, one template instantiated per car, so the engine
+compiles it once into one table of configurations (location, clock
+value, current lane n, target lane l); a car adds only its name, start
+lane and extent.  Positions never move, so the reachable space is
+finite: a system state is one configuration per car plus observer
+locations.
 
 Configurations are normalised, by inactive-clock reduction (Daws & Yovine,
 "Reducing the number of clock variables of timed automata", RTSS 1996):
@@ -51,10 +54,11 @@ their extents meet (that implies the first).  The connected components
 of that relation are the interaction groups; a car's guards, its
 invariant and the collision test only ever look at cars of its own
 group.  ``run_query`` answers ``SafetyNoCollision`` and ``NoDeadlock``
-one group at a time, on an engine restricted to the group (same car
-tables, pair lists, horizon and budget, and the group's observers), and
-multiplies the state counts.  That is exact because every car starts
-cruising with a dead clock, so its start is its own delay successor:
+one group at a time, on an engine restricted to the group (same
+controller table, pair lists, horizon and budget, and the group's
+observers), and multiplies the state counts.  That is exact because
+every car starts cruising with a dead clock, so its start is its own
+delay successor:
 
 * Every product step projects onto one group's step (a fire, or the
   collision observer) or onto a delay in every group, so each group's
@@ -147,7 +151,7 @@ from .automata import (ActClaim, ActReserve, ActTau, ActWithdrawClaim,
                        Constants, LaneExists, SpatialGuard, build_controller,
                        build_observer_collision, build_observer_live,
                        canonical_variant)
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioCar, covering_horizon
 from .traffic import CarState, Claim, Extent, Reserve, Tau, TrafficSnapshot, \
     View, WithdrawClaim, WithdrawReservation
 
@@ -353,7 +357,7 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# per-car configuration tables
+# the controller's configuration table
 
 _INV_NONE, _INV_CC, _INV_PCNONE = 0, 1, 2
 _REQ_NONE, _REQ_PCSOME, _REQ_PCNONE, _REQ_CLAIMFREE = 0, 1, 2, 3
@@ -397,15 +401,13 @@ class _FireDesc:
 
 
 class _CarTable:
-    """All configurations of one controller, normalised as the module
-    docstring says, with static guards already evaluated and per-config
-    successor material precomputed."""
+    """All configurations of the controller every car of an engine runs,
+    normalised as the module docstring says, with static guards already
+    evaluated and per-config successor material precomputed.  Every car
+    has the same variant, constants and lane count, so one table serves
+    them all; a car's digit in a packed state is its config id here."""
 
-    def __init__(self, name: str, lane: int, pos: int, size: int,
-                 autom: Automaton, lane_count: int):
-        self.name = name
-        self.pos = pos
-        self.size = size
+    def __init__(self, autom: Automaton, lane_count: int):
         loc_names = [loc.name for loc in autom.locations]
         self.loc_names = loc_names
         loc_idx = {nm: k for k, nm in enumerate(loc_names)}
@@ -515,15 +517,17 @@ class _CarTable:
                 ))
             self.fires[ci] = tuple(fires)
 
-        # the initial location is cruising: dead clock, l = n
-        self.initial = self.cfg_id[(loc_idx[autom.initial], 0, lane, lane)]
+        # the initial location is cruising: dead clock, l = n; by start lane
+        self.initial = [self.cfg_id[(loc_idx[autom.initial], 0, lane, lane)]
+                        for lane in range(lane_count)]
 
     @functools.cached_property
     def fires_acyclic(self) -> bool:
-        """Whether the graph of this car's own fires over its configurations
-        has no cycle (Kahn's algorithm).  Computed on the first AF search
-        that asks, not at build: _af_search skips its fire-only SCC pass
-        when every car's graph is acyclic."""
+        """Whether the graph of the controller's own fires over its
+        configurations has no cycle (Kahn's algorithm).  Computed on the
+        first AF search that asks, not at build: _af_search skips its
+        fire-only SCC pass when it is acyclic, since then no car's own
+        fires can cycle."""
         indegree = [0] * self.count
         for fires in self.fires:
             for fd in fires:
@@ -551,14 +555,6 @@ class _CarTable:
         if isinstance(action, ActTau):
             return Tau()
         raise CheckerError(f"unknown action {action!r}")
-
-    def car_state(self, ci: int) -> CarState:
-        return CarState(
-            pos=self.pos,
-            size=self.size,
-            res=_mask_lanes(self.res_mask[ci]),
-            clm=_mask_lanes(self.clm_mask[ci]),
-        )
 
 
 def _mask_lanes(mask: int) -> FrozenSet[int]:
@@ -608,9 +604,11 @@ def _drops_rows(query):
 class Engine:
     """State-space explorer for one road, one protocol variant.
 
-    cars is a sequence of (name, lane, pos, size) tuples.  The initial
-    snapshot is not collision-checked here (scenario loading does that),
-    so deliberately unsafe starting points can be built for testing.
+    cars is a sequence of (name, lane, pos, size) tuples, kept as
+    ScenarioCar records.  Every car runs the same controller, compiled
+    once into one _CarTable.  The initial snapshot is not collision-checked
+    here (scenario loading does that), so deliberately unsafe starting
+    points can be built for testing.
 
     Every spatial question is "another car's lanes meet ego's somewhere in
     ego's view" (pc, claim-free, cc) or "two cars' reservations meet"
@@ -663,23 +661,22 @@ class Engine:
         self.budget = _state_budget(budget)
 
         seen = set()
-        tables = []
+        records = []
         for entry in cars:
-            name, lane, pos, size = entry[0], entry[1], entry[2], entry[3]
-            if name in seen:
-                raise CheckerError(f"duplicate car {name!r}")
-            seen.add(name)
-            if not 0 <= lane < lane_count:
-                raise CheckerError(f"car {name!r} starts off the road (lane {lane})")
-            if size < 1:
-                raise CheckerError(f"car {name!r} needs positive size")
-            autom = build_controller(self.variant, name, self.constants)
-            tables.append(_CarTable(name, lane, pos, size, autom, lane_count))
+            car = ScenarioCar(*entry)
+            if car.name in seen:
+                raise CheckerError(f"duplicate car {car.name!r}")
+            seen.add(car.name)
+            if not 0 <= car.lane < lane_count:
+                raise CheckerError(f"car {car.name!r} starts off the road (lane {car.lane})")
+            if car.size < 1:
+                raise CheckerError(f"car {car.name!r} needs positive size")
+            records.append(car)
+        self._table = _CarTable(build_controller(self.variant, "i", self.constants),
+                                lane_count)
 
         if horizon is None:
-            lo = min(t.pos for t in tables)
-            hi = max(t.pos + t.size for t in tables)
-            horizon = (hi - lo) + 1
+            horizon = covering_horizon(records)
         if horizon < 1:
             raise CheckerError("horizon must be positive")
         self.horizon = horizon
@@ -691,17 +688,18 @@ class Engine:
                 raise CheckerError(f"live observer watches unknown car {w!r}")
         if len(set(live_cars)) != len(live_cars):
             raise CheckerError("duplicate live observer")
-        self._layout(tables,
+        self._layout(records,
                      build_observer_collision() if collision_observer else None,
                      [(w, build_observer_live(w)) for w in live_cars])
 
-    def _layout(self, tables: List[_CarTable], coll_obs: Optional[Automaton],
+    def _layout(self, cars: List[ScenarioCar], coll_obs: Optional[Automaton],
                 live: Sequence[Tuple[str, Automaton]]) -> None:
-        """Cars, observers and the packed state encoding over them."""
-        n = len(tables)
-        self._cars = tables
+        """Cars, observers and the packed state encoding over them, on
+        self._table."""
+        n = len(cars)
+        self._cars = cars
         self._ncars = n
-        self.car_names = tuple(t.name for t in tables)
+        self.car_names = tuple(c.name for c in cars)
         self._coll_obs = coll_obs
         self._live_cars: Tuple[str, ...] = tuple(w for w, _ in live)
         self._live_obs = tuple(obs for _, obs in live)
@@ -713,7 +711,7 @@ class Engine:
         # per-car successor rows, built on the first expansion (_row_cache)
         self._rows: Optional[List[Tuple[int, int, int, Dict[int, tuple]]]] = None
 
-        radices = [t.count for t in tables]
+        radices = [self._table.count] * n
         if coll_obs is not None:
             radices.append(2)
         radices.extend(3 for _ in self._live_obs)
@@ -727,15 +725,14 @@ class Engine:
         self._live_digit0 = n + (1 if coll_obs is not None else 0)
         self._collide_code = n << 8
 
-        # per car: its live observer's digit index, and that observer's
-        # transitions (_heard); -1 and None for unwatched cars
-        watched = dict(live)
-        self._live_k = [self._live_digit0 + self._live_index[t.name]
-                        if t.name in watched else -1 for t in tables]
-        self._live_next = [_heard(watched[t.name]) if t.name in watched else None
-                           for t in tables]
+        # per car: its live observer's digit index, -1 when unwatched; and
+        # the live observers' transitions, the same for every observer
+        self._live_k = [self._live_digit0 + self._live_index[name]
+                        if name in self._live_index else -1 for name in self.car_names]
+        self._heard = _heard(self._live_obs[0]) if live else None
 
-        init_digits = [t.initial for t in tables] + [0] * (len(radices) - n)
+        init_digits = ([self._table.initial[c.lane] for c in cars]
+                       + [0] * (len(radices) - n))
         self._initial_sid = self._pack_digits(init_digits)
 
     # -- packing ------------------------------------------------------------
@@ -753,10 +750,11 @@ class Engine:
         return digits
 
     def _snapshot_of(self, cfgs: Sequence[int]) -> TrafficSnapshot:
-        return TrafficSnapshot(
-            self.lane_count,
-            {t.name: t.car_state(c) for t, c in zip(self._cars, cfgs)},
-        )
+        res, clm = self._table.res_mask, self._table.clm_mask
+        return TrafficSnapshot(self.lane_count, {
+            car.name: CarState(pos=car.pos, size=car.size, res=_mask_lanes(res[c]),
+                               clm=_mask_lanes(clm[c]))
+            for car, c in zip(self._cars, cfgs)})
 
     # -- pair geometry ---------------------------------------------------------
 
@@ -845,9 +843,9 @@ class Engine:
                 for g in self._pair_graph().groups]
 
     def _restrict(self, group: Sequence[int]) -> "Engine":
-        """The engine of one interaction group: the parent's car tables,
-        horizon and budget, its _Pairs re-indexed to the group (so no pair
-        is decided again), and the group's observers."""
+        """The engine of one interaction group: the parent's controller
+        table, horizon and budget, its _Pairs re-indexed to the group (so no
+        pair is decided again), and the group's observers."""
         pairs = self._pair_graph()
         index = {i: k for k, i in enumerate(group)}
         names = {self.car_names[i] for i in group}
@@ -858,6 +856,7 @@ class Engine:
         sub.guard_mode = self.guard_mode
         sub.budget = self.budget
         sub.horizon = self.horizon
+        sub._table = self._table
         sub._layout([self._cars[i] for i in group], self._coll_obs,
                     [(w, obs) for w, obs in zip(self._live_cars, self._live_obs)
                      if w in names])
@@ -916,10 +915,9 @@ class Engine:
         any_fire = bool(succs)
         cd = self._coll_digit
         if cd >= 0 and (sid // mults[cd]) % 2 == 0:
-            cars, radices = self._cars, self._radices
+            res_mask, count = self._table.res_mask, self._table.count
             for i, j in self._pairs.collide:
-                if (cars[i].res_mask[(sid // mults[i]) % radices[i]]
-                        & cars[j].res_mask[(sid // mults[j]) % radices[j]]):
+                if res_mask[(sid // mults[i]) % count] & res_mask[(sid // mults[j]) % count]:
                     succs.append((self._collide_code, sid + mults[cd]))
                     any_fire = True
                     break
@@ -954,22 +952,21 @@ class Engine:
         i's target invariant) and seen_by[i] (their invariants against i's
         target), and i's live observer digit.
         """
-        cars, mults, radices = self._cars, self._mults, self._radices
-        pairs = self._pairs
-        table = cars[i]
-        ci = (sid // mults[i]) % radices[i]
+        mults, pairs, table = self._mults, self._pairs, self._table
+        res_mask, clm_mask, occ_mask = table.res_mask, table.clm_mask, table.occ_mask
+        inv, count = table.inv, table.count
+        ci = (sid // mults[i]) % count
         # lanes of the cars i sees, and of the cars that see i
         nb_res, nb_occ = [], []
         for j in pairs.sees[i]:
-            c = (sid // mults[j]) % radices[j]
-            nb_res.append(cars[j].res_mask[c])
-            nb_occ.append(cars[j].occ_mask[c])
+            c = (sid // mults[j]) % count
+            nb_res.append(res_mask[c])
+            nb_occ.append(occ_mask[c])
         watchers = []
         for j in pairs.seen_by[i]:
-            c = (sid // mults[j]) % radices[j]
-            t = cars[j]
-            watchers.append((t.inv[c], t.res_mask[c], t.clm_mask[c]))
-        clm_i = table.clm_mask[ci]
+            c = (sid // mults[j]) % count
+            watchers.append((inv[c], res_mask[c], clm_mask[c]))
+        clm_i = clm_mask[ci]
         k = self._live_k[i]
 
         fires = []
@@ -997,10 +994,10 @@ class Engine:
             # invariants in the target state: i's own against the cars it
             # sees, then those of the cars that see i
             tgt = fd.target
-            tr = table.res_mask[tgt]
-            tc = table.clm_mask[tgt]
+            tr = res_mask[tgt]
+            tc = clm_mask[tgt]
             ok = True
-            inv_i = table.inv[tgt]
+            inv_i = inv[tgt]
             if inv_i == _INV_CC:
                 for res in nb_res:
                     if tr & res:
@@ -1027,7 +1024,7 @@ class Engine:
             delta = (tgt - ci) * mults[i]
             if fd.emit and k >= 0:
                 cur = (sid // mults[k]) % 3
-                nxt = self._live_next[i][fd.emit][cur]
+                nxt = self._heard[fd.emit][cur]
                 if nxt != cur:
                     delta += (nxt - cur) * mults[k]
             fires.append(((i << 8) | fd.slot, delta))
@@ -1041,10 +1038,9 @@ class Engine:
         i = code >> 8
         if i == self._ncars:
             return Fire("collision-observer", "collision", "tau")
-        table = self._cars[i]
-        ci = self._unpack(sid)[i]
-        fd = table.fires[ci][code & 0xFF]
-        return Fire(table.name, fd.edge_name, fd.action_str)
+        ci = (sid // self._mults[i]) % self._table.count
+        fd = self._table.fires[ci][code & 0xFF]
+        return Fire(self.car_names[i], fd.edge_name, fd.action_str)
 
     # -- presentation ---------------------------------------------------------
 
@@ -1053,11 +1049,12 @@ class Engine:
         locations = []
         clocks = []
         registers = []
-        for i, table in enumerate(self._cars):
-            li, x, cn, cl = table.configs[digits[i]]
-            locations.append((table.name, table.loc_names[li]))
-            clocks.append((table.name, x))
-            registers.append((table.name, (cn, cl)))
+        table = self._table
+        for name, ci in zip(self.car_names, digits):
+            li, x, cn, cl = table.configs[ci]
+            locations.append((name, table.loc_names[li]))
+            clocks.append((name, x))
+            registers.append((name, (cn, cl)))
         for obs, d in zip(self._observers, digits[self._ncars:]):
             locations.append((obs.name, obs.locations[d].name))
         return SystemState(
@@ -1069,18 +1066,19 @@ class Engine:
 
     def _pack_state(self, state: SystemState) -> int:
         digits = []
-        for table in self._cars:
+        table = self._table
+        for name in self.car_names:
             try:
-                loc = state.location(table.name)
-                x = state.clock(table.name)
-                cn, cl = state.lanes_of(table.name)
+                loc = state.location(name)
+                x = state.clock(name)
+                cn, cl = state.lanes_of(name)
             except KeyError:
-                raise CheckerError(f"state has no configuration of {table.name!r}") from None
+                raise CheckerError(f"state has no configuration of {name!r}") from None
             li = table.loc_names.index(loc) if loc in table.loc_names else -1
             ci = table.cfg_id.get((li, x, cn, cl))
             if ci is None:
                 raise CheckerError(
-                    f"state of {table.name!r} ({loc}, x={x}, n={cn}, l={cl}) "
+                    f"state of {name!r} ({loc}, x={x}, n={cn}, l={cl}) "
                     f"is not an engine configuration"
                 )
             digits.append(ci)
@@ -1110,25 +1108,24 @@ class Engine:
     # -- reachability (AG) ----------------------------------------------------
 
     @_drops_rows
-    def check_ag(self, bad: Callable[[SystemState], bool],
-                 initial: Optional[SystemState] = None) -> Verdict:
+    def check_ag(self, bad: Callable[[SystemState], bool]) -> Verdict:
         """No reachable state satisfies bad; witness is a shortest bad path."""
-        init = self._initial_sid if initial is None else self._pack_state(initial)
-        return self._ag(init, lambda sid, exp: bad(self._to_state(sid)), False)
+        return self._ag(lambda sid, exp: bad(self._to_state(sid)), False)
 
-    def _ag(self, init: int, bad, needs_expansion: bool) -> Verdict:
-        verdict, found = self._ag_search(init, bad, needs_expansion)
+    def _ag(self, bad, needs_expansion: bool) -> Verdict:
+        verdict, found = self._ag_search(bad, needs_expansion)
         if found is None:
             return verdict
         # the search and its visited set are gone; a second BFS meets the
         # states in the same order and stops where found was first reached
         return replace(verdict, witness=self._trace(
-            init, lambda sid: self._expand(sid)[0], found))
+            lambda sid: self._expand(sid)[0], found))
 
-    def _ag_search(self, init: int, bad,
-                   needs_expansion: bool) -> Tuple[Verdict, Optional[int]]:
-        """Breadth-first search for a bad state that stores no parents: the
-        verdict without its witness, and the bad state, if one was found."""
+    def _ag_search(self, bad, needs_expansion: bool) -> Tuple[Verdict, Optional[int]]:
+        """Breadth-first search from the start for a bad state that stores
+        no parents: the verdict without its witness, and the bad state, if
+        one was found."""
+        init = self._initial_sid
         if not needs_expansion and bad(init, None):
             return Verdict("fails", states=1), init
         visited = _Visited(self.state_space)
@@ -1176,10 +1173,11 @@ class Engine:
             frontier = nxt
         raise CheckerError("no walk reaches the stop edge")
 
-    def _trace(self, init: int, succ, goal: int,
+    def _trace(self, succ, goal: int,
                cycle: Sequence[Tuple[int, int, int]] = ()) -> Trace:
-        """The first walk from init to goal over succ, then cycle (a closed
-        walk from goal) when one is given."""
+        """The first walk from the start to goal over succ, then cycle (a
+        closed walk from goal) when one is given."""
+        init = self._initial_sid
         stem = [] if goal == init else self._bfs_path(
             init, succ, lambda code, s2: s2 == goal)
         steps = tuple((self._step_of(sid, code), self._to_state(s2))
@@ -1190,17 +1188,15 @@ class Engine:
     # -- inevitability (AF) ---------------------------------------------------
 
     @_drops_rows
-    def check_af(self, good: Callable[[SystemState], bool],
-                 initial: Optional[SystemState] = None) -> Verdict:
+    def check_af(self, good: Callable[[SystemState], bool]) -> Verdict:
         """Every fair, non-zeno run eventually satisfies good."""
-        init = self._initial_sid if initial is None else self._pack_state(initial)
-        return self._af(init, lambda sid: good(self._to_state(sid)))
+        return self._af(lambda sid: good(self._to_state(sid)))
 
-    def _af(self, init: int, good) -> Verdict:
-        verdict, witness, _ = self._af_search(init, good)
+    def _af(self, good) -> Verdict:
+        verdict, witness, _ = self._af_search(good)
         return verdict if witness is None else replace(verdict, witness=witness())
 
-    def _af_search(self, init: int, good) -> Tuple[
+    def _af_search(self, good) -> Tuple[
             Verdict, Optional[Callable[[], Trace]], Optional[bool]]:
         """The search of _af: its verdict without the witness, a function
         that builds the witness (None when there is none), and whether the
@@ -1221,11 +1217,12 @@ class Engine:
         lists, since sids and masks can exceed 64 bits.  Witnesses walk the
         same arrays through succ, which maps state numbers back to sids.
 
-        The fire-only SCC pass is skipped when no car's own fires can
-        cycle (_CarTable.fires_acyclic): a cycle of fires in the region
-        would project onto a closed walk of some car's own fires, since
-        the collision observer only ever moves from 0 to 1 and the
-        progress observers move only with their car."""
+        The fire-only SCC pass is skipped when the controller's own fires
+        cannot cycle (_CarTable.fires_acyclic, one flag for every car): a
+        cycle of fires in the region would project onto a closed walk of
+        some car's own fires, since the collision observer only ever moves
+        from 0 to 1 and the progress observers move only with their car."""
+        init = self._initial_sid
         if good(init):
             return Verdict("holds", states=1), None, True
 
@@ -1245,7 +1242,7 @@ class Engine:
                 # shallower state is expanded: succ holds the search's walk
                 return (Verdict("fails", states=len(order),
                                 note="run reaches a stuck state"),
-                        lambda: self._trace(init, succ, sid), None)
+                        lambda: self._trace(succ, sid), None)
             enabled.append(mask)
             for code, s2 in succs:
                 k2 = index.get(s2)
@@ -1267,7 +1264,7 @@ class Engine:
         ncars = self._ncars
         member = bytearray(len(order))      # the SCC at hand (_cycles)
         loose = False       # some SCC with an internal edge starves no controller
-        passes = (False,) if all(t.fires_acyclic for t in self._cars) else (True, False)
+        passes = (False,) if self._table.fires_acyclic else (True, False)
         for fire_only in passes:
             for scc, fired in _cycles(offsets, targets, codes, fire_only, member, ncars):
                 if fire_only:
@@ -1283,7 +1280,7 @@ class Engine:
                         cycle = self._cover_cycle(
                             order[scc[0]], succ, lambda sid: member[index[sid]],
                             needed, fire_only)
-                        return self._trace(init, succ, cycle[0][0], cycle)
+                        return self._trace(succ, cycle[0][0], cycle)
                     return (Verdict("fails", states=len(order), note=note), witness,
                             None if fire_only else False)
         return Verdict("holds", states=len(order)), None, not loose
@@ -1330,7 +1327,7 @@ class Engine:
                                       lambda sid: member[index[sid]], fired, True)
             stem = lambda sid: [(code, s2) for code, s2 in self._expand(sid)[0]
                                 if not good(s2)]
-            return self._trace(init, stem, cycle[0][0], cycle), len(order)
+            return self._trace(stem, cycle[0][0], cycle), len(order)
         return None, len(order)
 
     def _cover_cycle(self, start: int, succ, comp: Callable[[int], bool],
@@ -1365,8 +1362,8 @@ class Engine:
     def _whole(self, query: Query) -> Verdict:
         """The monolithic search for query."""
         if isinstance(query, (LivenessAny, LivenessCar)):
-            return self._af(self._initial_sid, self._goal(self._liveness_targets(query)))
-        return self._ag(self._initial_sid, *self._bad(query))
+            return self._af(self._goal(self._liveness_targets(query)))
+        return self._ag(*self._bad(query))
 
     def _bad(self, query: Query):
         """The bad-state test of _ag_search for a NoDeadlock or
@@ -1445,9 +1442,9 @@ class Engine:
         No witness is built: the road's witness comes from the whole-road
         engine."""
         if isinstance(query, (LivenessAny, LivenessCar)):
-            verdict, _, starved = self._af_search(self._initial_sid, self._goal(watched))
+            verdict, _, starved = self._af_search(self._goal(watched))
             return verdict, starved
-        verdict, _ = self._ag_search(self._initial_sid, *self._bad(query))
+        verdict, _ = self._ag_search(*self._bad(query))
         return verdict, True if verdict.holds else None
 
     def _liveness_targets(self, query) -> Tuple[str, ...]:

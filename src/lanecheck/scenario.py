@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .automata import Constants, VARIANTS, canonical_variant
 from .traffic import CarState, TrafficSnapshot
@@ -37,6 +37,15 @@ class ScenarioCar:
     lane: int
     pos: int
     size: int
+
+
+def covering_horizon(cars: Sequence[ScenarioCar]) -> int:
+    """A view half-length from which every car sees every other car whole:
+    one more than the span from the rearmost car's rear to the foremost
+    car's front."""
+    lo = min(c.pos for c in cars)
+    hi = max(c.pos + c.size for c in cars)
+    return (hi - lo) + 1
 
 
 @dataclass(frozen=True)
@@ -83,11 +92,7 @@ class Scenario:
             raise ScenarioError("horizon must be positive")
 
     def effective_horizon(self) -> int:
-        if self.horizon is not None:
-            return self.horizon
-        lo = min(c.pos for c in self.cars)
-        hi = max(c.pos + c.size for c in self.cars)
-        return (hi - lo) + 1
+        return self.horizon if self.horizon is not None else covering_horizon(self.cars)
 
     def snapshot(self) -> TrafficSnapshot:
         return TrafficSnapshot(

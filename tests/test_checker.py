@@ -206,17 +206,6 @@ def test_check_ag_witness_is_shortest_and_replays():
     replay(trace)
 
 
-def test_check_ag_explicit_initial():
-    eng = Engine.for_query(fig1(), NoDeadlock())
-    init = eng.initial_state()
-    _, mid = next(
-        (st, s2) for st, s2 in eng.successors(init)
-        if isinstance(st, Fire) and st.actor == "A")
-    v = eng.check_ag(lambda s: s.location("A") == "cruising", initial=mid)
-    assert v.outcome == "fails"
-    assert v.witness.initial == mid
-
-
 def test_reachable_state_count_matches_reference():
     sc = tiny()
     eng = Engine.for_query(sc, NoDeadlock())
@@ -383,9 +372,14 @@ def test_witnesses_are_first_breadth_first_walks():
     assert eng.state_space == 7_311_616
     both = lambda s: s.location("B") == s.location("C") == "changing"
     ag(eng, both, eng.check_ag(both))
+    # on the last road the first walk inside the fair SCC to a fire of A
+    # passes a fire of B, so a cover cycle leg for A that stopped at a
+    # fire of any later controller would end early
     for sc, query in ((tiny("original"), LivenessAny()),
                       (fig1("original-plus-tw"), LivenessCar("A")),
-                      (stuck_road(), LivenessCar("A"))):
+                      (stuck_road(), LivenessCar("A")),
+                      (road(3, [("A", 2, 4, 4), ("B", 0, 6, 4)], "original-plus-tw",
+                            horizon=3), LivenessCar("A"))):
         eng = Engine.for_query(sc, query)
         cars = sc.car_names() if isinstance(query, LivenessAny) else [query.car]
         af(eng, oracles.success_goal(cars), eng.run_query(query))
@@ -404,10 +398,11 @@ def test_witnesses_are_first_breadth_first_walks():
     assert (zero_delay, stored) == (cases[-2][0].witness, 3)
 
     notes = [v.note for v, _ in cases]
-    assert [v.outcome for v, _ in cases] == ["fails"] * 10
-    assert [len(v.witness.steps) for v, _ in cases] == [0, 1, 2, 0, 6, 5, 31, 5, 6, 5]
+    assert [v.outcome for v, _ in cases] == ["fails"] * 11
+    assert [len(v.witness.steps) for v, _ in cases] == [0, 1, 2, 0, 6, 5, 31, 5, 25, 6, 5]
     assert "zero-delay" in notes[5] and "fair" in notes[6] and "stuck" in notes[7]
-    assert "zero-delay" in notes[8] and "stuck" in notes[9]
+    assert "fair" in notes[8] and cases[8][0].states == 62
+    assert "zero-delay" in notes[9] and "stuck" in notes[10]
     for v, want in cases:
         assert v.witness == want, v.note
         replay(v.witness)
@@ -455,7 +450,7 @@ def test_fire_graph_acyclicity_matches_networkx():
         for t, t_lc, t_w in itertools.product((1, 2, 3), repeat=3):
             consts = Constants(t=t, t_lc=t_lc, t_w=t_w, wait_lo=1, wait_hi=4)
             for lanes in (1, 2, 3, 4):
-                table = Engine(lanes, [("A", 0, 0, 4)], variant, consts)._cars[0]
+                table = Engine(lanes, [("A", 0, 0, 4)], variant, consts)._table
                 g = nx.DiGraph()
                 g.add_nodes_from(range(table.count))
                 g.add_edges_from((ci, fd.target) for ci, fires in enumerate(table.fires)
@@ -483,7 +478,7 @@ def _small_roads(draw):
 def test_acyclic_fire_graphs_leave_no_zero_delay_cycle(eng):
     # when no car's own fires can cycle, neither can the fires of the whole
     # reachable graph, observers included: _af_search may skip that pass
-    hypothesis.assume(all(t.fires_acyclic for t in eng._cars))
+    hypothesis.assume(eng._table.fires_acyclic)
     index = {eng._initial_sid: 0}
     order = [eng._initial_sid]
     offsets, targets, codes = array("q", [0]), array("i"), array("i")
@@ -733,8 +728,10 @@ def test_every_start_is_its_own_delay_successor():
             consts = Constants(t=t, t_lc=t_lc, t_w=t_w, wait_lo=1, wait_hi=4)
             eng = Engine(3, [("A", 0, 0, 4), ("B", 1, 2, 4), ("C", 2, 30, 4)],
                          variant, consts)
-            for table in eng._cars:
-                assert table.delay_next[table.initial] == table.initial, (variant, consts)
+            table = eng._table
+            assert eng._unpack(eng._initial_sid) == [table.initial[lane] for lane in (0, 1, 2)]
+            for ci in table.initial:
+                assert table.delay_next[ci] == ci, (variant, consts)
             autom = build_controller(variant, "A", consts)
             for loc in autom.locations:
                 if any(isinstance(g, ClockConstraint)
@@ -820,6 +817,22 @@ def test_group_runs_share_the_parent_tables(monkeypatch):
     assert not built
     assert eng.interaction_groups() == [("A", "B"), ("E",)]
     assert (v.outcome, v.states, v.explored) == ("holds", 417 * 52, 417 + 52)
+
+
+def test_one_controller_table_per_engine(monkeypatch):
+    # every car runs the same controller, so an engine compiles it once,
+    # and each of its group engines reads that same table
+    built = []
+    build = checker.build_controller
+    monkeypatch.setattr(checker, "build_controller",
+                        lambda *args: built.append(args) or build(*args))
+    eng = Engine.for_query(load_scenario("scenarios/fourcars.scn"), SafetyNoCollision())
+    assert len(built) == 1
+    groups = eng._pair_graph().groups
+    assert len(groups) == 3
+    for group in groups:
+        assert eng._restrict(group)._table is eng._table
+    assert len(built) == 1
 
 
 def test_interaction_groups_close_over_chains():
