@@ -138,6 +138,7 @@ caller's predicate is never decomposed.
 
 from __future__ import annotations
 
+import enum
 import functools
 import os
 from array import array
@@ -163,6 +164,8 @@ _BITMAP_LIMIT = 1 << 28
 # successor rows memoised per car and query (Engine._expand), about 240 B
 # each; misses past this many are computed and not stored
 _ROW_LIMIT = 1 << 14
+# the note of a liveness failure by a cycle of fires alone
+_ZERO_DELAY_NOTE = "zero-delay cycle avoids the goal"
 
 
 class CheckerError(Exception):
@@ -1196,53 +1199,75 @@ class Engine:
         verdict, witness, _ = self._af_search(good)
         return verdict if witness is None else replace(verdict, witness=witness())
 
-    def _af_search(self, good) -> Tuple[
-            Verdict, Optional[Callable[[], Trace]], Optional[bool]]:
+    def _af_search(self, good) -> Tuple[Verdict, Optional[Callable[[], Trace]], _Part]:
         """The search of _af: its verdict without the witness, a function
-        that builds the witness (None when there is none), and whether the
-        region starves a controller in every SCC with an internal edge: one
-        enabled in each of its states that fires on none of its internal
-        edges.  That is None when a stuck state, a zero-delay cycle or the
-        budget ended the search first, and False once a fair cycle is met.
-
-        The region is every state reachable without passing a good state.
-        Its states are numbered in breadth-first discovery order, which is
-        also the order they are expanded in: order[k] is the sid of state
-        k and index maps each sid back to k.  The edges kept inside the
-        region are stored in CSR form: state k's edges, in _expand order,
-        are targets[e] (state numbers) and codes[e] (as in _expand) for e
-        in range(offsets[k], offsets[k + 1]); a state found but not
-        expanded has no entry there and reads as having no edges.
-        enabled[k] is state k's enabled mask.  order and enabled stay
-        lists, since sids and masks can exceed 64 bits.  Witnesses walk the
-        same arrays through succ, which maps state numbers back to sids.
+        that builds the witness (None when there is none), and what the
+        region says of a holding product answer (_by_group): RULES_OUT when
+        its build stopped early, ZERO_DELAY when it has a zero-delay cycle,
+        SETTLES when it starves a controller in every SCC with an internal
+        edge (one enabled in each of its states that fires on none of its
+        internal edges), and OPEN otherwise.  The region (_region) is every
+        state reachable without passing a good state, with all its edges.
 
         The fire-only SCC pass is skipped when the controller's own fires
         cannot cycle (_CarTable.fires_acyclic, one flag for every car): a
         cycle of fires in the region would project onto a closed walk of
         some car's own fires, since the collision observer only ever moves
         from 0 to 1 and the progress observers move only with their car."""
+        if good(self._initial_sid):
+            return Verdict("holds", states=1), None, _Part.SETTLES
+        region, enabled, stop = self._region(good, False)
+        if stop is not None:
+            if stop.outcome == "inconclusive":
+                return stop, None, _Part.RULES_OUT
+            # every state shallower than the stuck one is expanded: succ
+            # holds the search's walk to it
+            stuck = region.order[len(enabled)]
+            return stop, lambda: self._trace(region.succ, stuck), _Part.RULES_OUT
+
+        # zero-delay cycles first (fire edges only), then fair ones: SCCs
+        # where every controller ever enabled also fires
+        states = len(region.order)
+        member = bytearray(states)      # the SCC at hand (_cycles)
+        loose = False       # some SCC with an internal edge starves no controller
+        passes = (False,) if self._table.fires_acyclic else (True, False)
+        for fire_only in passes:
+            for scc, fired in _cycles(region, fire_only, member, self._ncars):
+                if fire_only:
+                    needed, note, part = fired, _ZERO_DELAY_NOTE, _Part.ZERO_DELAY
+                else:
+                    needed, always = 0, -1
+                    note, part = "fair cycle avoids the goal", _Part.OPEN
+                    for k in scc:
+                        needed |= enabled[k]
+                        always &= enabled[k]
+                    loose = loose or not (always & ~fired)
+                if fire_only or not needed & ~fired:
+                    return (Verdict("fails", states=states, note=note),
+                            lambda: self._lasso(region, region.succ, scc, member,
+                                                needed, fire_only), part)
+        return Verdict("holds", states=states), None, _Part.OPEN if loose else _Part.SETTLES
+
+    def _region(self, good, fire_only: bool) -> Tuple[_Region, List[int], Optional[Verdict]]:
+        """The states reachable from the start without passing a good state
+        (the start is not tested), numbered in breadth-first order with their
+        edges in CSR form (_Region), fire edges only when fire_only; the enabled
+        mask of each expanded state, apart, so that a witness walking the region
+        does not hold the masks; and the verdict that stopped the build early: a
+        run into a stuck state (nothing can fire or delay), order[len(enabled)],
+        or the budget (None when it was built to its end).  A region that stopped
+        early must not be searched for cycles: its later states were never expanded."""
         init = self._initial_sid
-        if good(init):
-            return Verdict("holds", states=1), None, True
-
-        index: Dict[int, int] = {init: 0}
-        order: List[int] = [init]
-        enabled: List[int] = []
-        offsets = array("q", [0])
-        targets = array("i")
-        codes = array("i")
-
-        succ = _csr_succ(order, index, offsets, targets, codes)
-
+        region = _Region({init: 0}, [init], array("q", [0]), array("i"), array("i"))
+        index, order, offsets, targets, codes = region
+        enabled: List[int] = []     # a list: masks can exceed 64 bits
         for sid in order:   # grows while it is walked: a breadth-first queue
             succs, mask, _ = self._expand(sid)
             if not succs:
-                # stuck state: no run from here can reach good.  Every
-                # shallower state is expanded: succ holds the search's walk
-                return (Verdict("fails", states=len(order),
-                                note="run reaches a stuck state"),
-                        lambda: self._trace(succ, sid), None)
+                return region, enabled, Verdict("fails", states=len(order),
+                                                note="run reaches a stuck state")
+            if fire_only:
+                succs = [edge for edge in succs if edge[0] != -1]
             enabled.append(mask)
             for code, s2 in succs:
                 k2 = index.get(s2)
@@ -1250,104 +1275,61 @@ class Engine:
                     if good(s2):
                         continue
                     if len(order) >= self.budget:
-                        return Verdict(
+                        return region, enabled, Verdict(
                             "inconclusive", states=len(order),
-                            note=f"state budget {self.budget} exhausted"), None, None
+                            note=f"state budget {self.budget} exhausted")
                     k2 = index[s2] = len(order)
                     order.append(s2)
                 targets.append(k2)
                 codes.append(code)
             offsets.append(len(targets))
-
-        # zero-delay cycles first (fire edges only), then fair ones: SCCs
-        # where every controller ever enabled also fires
-        ncars = self._ncars
-        member = bytearray(len(order))      # the SCC at hand (_cycles)
-        loose = False       # some SCC with an internal edge starves no controller
-        passes = (False,) if self._table.fires_acyclic else (True, False)
-        for fire_only in passes:
-            for scc, fired in _cycles(offsets, targets, codes, fire_only, member, ncars):
-                if fire_only:
-                    needed, note = fired, "zero-delay cycle avoids the goal"
-                else:
-                    needed, always, note = 0, -1, "fair cycle avoids the goal"
-                    for k in scc:
-                        needed |= enabled[k]
-                        always &= enabled[k]
-                    loose = loose or not (always & ~fired)
-                if fire_only or not needed & ~fired:
-                    def witness():
-                        cycle = self._cover_cycle(
-                            order[scc[0]], succ, lambda sid: member[index[sid]],
-                            needed, fire_only)
-                        return self._trace(succ, cycle[0][0], cycle)
-                    return (Verdict("fails", states=len(order), note=note), witness,
-                            None if fire_only else False)
-        return Verdict("holds", states=len(order)), None, not loose
+        return region, enabled, None
 
     def _zero_delay_witness(self, good) -> Tuple[Optional[Trace], int]:
         """The witness _af_search builds for a zero-delay cycle, found
         without the whole region when the region has no stuck state and
         fits the budget (see _by_group), and the number of states stored:
-        None when it is not found this way.
+        None when it is not found this way or the build stopped early.
 
-        It numbers the states reachable from the start over fire edges
-        alone, in the CSR layout of _af_search, and runs the same
-        fire-only SCC pass over them.  Both passes make one depth-first
-        search from state 0, the start, over the same edge lists, and every
-        state numbered here lies in that first search tree, so the first
-        SCC with an internal edge found here is the first one the whole
-        region yields; when there is none here, the whole region may still
-        have one.  The cover cycle walks the same fire edges, and the stem
-        walks _expand with good states dropped, which are the edges the
-        whole region keeps."""
-        init = self._initial_sid
-        index: Dict[int, int] = {init: 0}
-        order: List[int] = [init]
-        offsets = array("q", [0])
-        targets = array("i")
-        codes = array("i")
-        for sid in order:
-            for code, s2 in self._expand(sid)[0]:
-                if code == -1:
-                    continue
-                k2 = index.get(s2)
-                if k2 is None:
-                    if good(s2):
-                        continue
-                    k2 = index[s2] = len(order)
-                    order.append(s2)
-                targets.append(k2)
-                codes.append(code)
-            offsets.append(len(targets))
-        member = bytearray(len(order))
-        for scc, fired in _cycles(offsets, targets, codes, True, member, self._ncars):
-            cycle = self._cover_cycle(order[scc[0]],
-                                      _csr_succ(order, index, offsets, targets, codes),
-                                      lambda sid: member[index[sid]], fired, True)
-            stem = lambda sid: [(code, s2) for code, s2 in self._expand(sid)[0]
-                                if not good(s2)]
-            return self._trace(stem, cycle[0][0], cycle), len(order)
-        return None, len(order)
+        It builds the fire-only region (_region): the states reachable
+        from the start over fire edges alone, numbered as _af_search
+        numbers the whole region, and runs the same fire-only SCC pass over
+        it.  Both passes make one depth-first search from state 0, the
+        start, over the same edge lists, and every state numbered here lies
+        in that first search tree, so the first SCC with an internal edge
+        found here is the first one the whole region yields; when there is
+        none here, the whole region may still have one.  The cover cycle
+        walks the same fire edges, and the stem walks _expand with good
+        states dropped, which are the edges the whole region keeps."""
+        region, _, stop = self._region(good, True)
+        if stop is None:
+            member = bytearray(len(region.order))
+            for scc, fired in _cycles(region, True, member, self._ncars):
+                stem = lambda sid: [(code, s2) for code, s2 in self._expand(sid)[0]
+                                    if not good(s2)]
+                return self._lasso(region, stem, scc, member, fired, True), len(region.order)
+        return None, len(region.order)
 
-    def _cover_cycle(self, start: int, succ, comp: Callable[[int], bool],
-                     needed_mask: int, fire_only: bool) -> List[Tuple[int, int, int]]:
-        """A closed walk from start over succ, inside the SCC whose states
-        satisfy comp, that fires every controller in needed_mask at least
-        once; no delays when fire_only."""
+    def _lasso(self, region: _Region, stem, scc: List[int], member: bytearray,
+               needed: int, fire_only: bool) -> Trace:
+        """The witness for a cycle in scc, the component of region that
+        _cycles just yielded (member marks its states): the first walk over
+        stem from the start to scc's first state, then a closed walk from
+        there over the region's edges inside scc that fires every
+        controller in needed at least once, with no delays when fire_only."""
         def inside(sid: int) -> List[Tuple[int, int]]:
-            return [(code, s2) for code, s2 in succ(sid)
-                    if comp(s2) and (code != -1 or not fire_only)]
+            return [(code, s2) for code, s2 in region.succ(sid)
+                    if member[region.index[s2]] and (code != -1 or not fire_only)]
         walk: List[Tuple[int, int, int]] = []
-        cur = start
+        cur = start = region.order[scc[0]]
         for i in range(self._ncars):
-            if needed_mask >> i & 1:
+            if needed >> i & 1:
                 # ends with a fire of controller i (the delay's -1 >> 8 is -1)
                 walk += self._bfs_path(cur, inside, lambda code, s2: code >> 8 == i)
                 cur = walk[-1][2]
         if cur != start or not walk:
             walk += self._bfs_path(cur, inside, lambda code, s2: s2 == start)
-        return walk
+        return self._trace(stem, start, walk)
 
     # -- query dispatch ---------------------------------------------------------
 
@@ -1404,48 +1386,42 @@ class Engine:
         groups = self._pair_graph().groups
         explored = 0
         if len(groups) > 1 and not (liveness and self._coll_obs is not None):
-            product, settled, cycle = 1, False, ""
+            product, parts = 1, set()
             for group in groups:
-                part, settles = self._restrict(group)._group_part(query, watched)
-                explored += part.explored
-                if settles is None:
-                    if not part.note.startswith("zero-delay"):
-                        break   # a stuck state, a failing AG search or the budget
-                    cycle = part.note
-                product *= part.states
-                settled = settled or bool(settles)
+                verdict, part = self._restrict(group)._group_part(query, watched)
+                explored += verdict.explored
+                if part is _Part.RULES_OUT:
+                    break
+                product *= verdict.states
+                parts.add(part)
             else:
-                if (settled or cycle) and product > self.budget:
+                cycle = _Part.ZERO_DELAY in parts
+                if (cycle or _Part.SETTLES in parts) and product > self.budget:
                     return Verdict("inconclusive", states=self.budget, explored=explored,
                                    note=f"state budget {self.budget} exhausted")
                 if cycle:
                     witness, stored = self._zero_delay_witness(self._goal(watched))
                     explored += stored
                     if witness is not None:
-                        return Verdict("fails", witness, states=product, note=cycle,
-                                       explored=explored)
-                elif settled:
+                        return Verdict("fails", witness, states=product,
+                                       note=_ZERO_DELAY_NOTE, explored=explored)
+                elif _Part.SETTLES in parts:
                     return Verdict("holds", states=product, explored=explored)
         whole = self._whole(query)
         return replace(whole, explored=explored + whole.explored)
 
-    def _group_part(self, query: Query, watched: Sequence[str]) -> Tuple[
-            Verdict, Optional[bool]]:
-        """A group engine's search for _by_group, and whether the group
-        settles the product answer: None when it rules that answer out.  An
-        AG search settles it when it holds.  A liveness region avoids the
-        goal of the group's cars in watched (a group without any keeps every
-        reachable state); it rules a holding product out with a stuck
-        state, a zero-delay cycle or the budget, and settles it when it
-        starves a controller in every SCC with an internal edge
-        (_af_search).  The verdict's note tells a zero-delay cycle apart.
-        No witness is built: the road's witness comes from the whole-road
-        engine."""
+    def _group_part(self, query: Query, watched: Sequence[str]) -> Tuple[Verdict, _Part]:
+        """A group engine's search for _by_group, and what it says of the
+        product answer (_Part).  An AG search settles it when it holds and
+        rules it out otherwise.  A liveness region avoids the goal of the
+        group's cars in watched (a group without any keeps every reachable
+        state); its part is _af_search's.  No witness is built: the road's
+        witness comes from the whole-road engine."""
         if isinstance(query, (LivenessAny, LivenessCar)):
-            verdict, _, starved = self._af_search(self._goal(watched))
-            return verdict, starved
+            verdict, _, part = self._af_search(self._goal(watched))
+            return verdict, part
         verdict, _ = self._ag_search(*self._bad(query))
-        return verdict, True if verdict.holds else None
+        return verdict, _Part.SETTLES if verdict.holds else _Part.RULES_OUT
 
     def _liveness_targets(self, query) -> Tuple[str, ...]:
         if isinstance(query, LivenessCar):
@@ -1508,6 +1484,42 @@ class _Pairs(NamedTuple):
     groups: Tuple[Tuple[int, ...], ...]     # interaction groups, in cars order
 
 
+class _Part(enum.Enum):
+    """What one interaction group's search says of the road's answer
+    (Engine._by_group)."""
+
+    RULES_OUT = "rules out"     # a stuck state, a failing AG search or the budget
+    ZERO_DELAY = "zero-delay"   # a complete region with a zero-delay cycle
+    OPEN = "open"               # neither rules the answer out nor settles it
+    SETTLES = "settles"         # an AG search holds, or a region starves (_af_search)
+
+
+class _Region(NamedTuple):
+    """A numbered region (Engine._region).  order[k] is the sid of state k,
+    in breadth-first discovery order, which is also the order states are
+    expanded in, and index maps each sid back to k.  State k's edges, in
+    _expand order, are targets[e] (state numbers) and codes[e] (as in
+    _expand) for e in range(offsets[k], offsets[k + 1]); a state found but
+    not expanded has no entry there and reads as having no edges.  order
+    stays a list, since sids can exceed 64 bits."""
+
+    # index first, so that it is freed last (a tuple frees its items last to
+    # first): freed first, it kept 3 MB more resident on dense (40 vs 37 MB)
+    index: Dict[int, int]
+    order: List[int]
+    offsets: array
+    targets: array
+    codes: array
+
+    def succ(self, sid: int) -> List[Tuple[int, int]]:
+        """The edges (code, sid) of state sid, looked up by sid."""
+        k = self.index[sid]
+        if k + 1 >= len(self.offsets):
+            return []
+        return [(self.codes[e], self.order[self.targets[e]])
+                for e in range(self.offsets[k], self.offsets[k + 1])]
+
+
 class _Visited:
     """Visited-set: dense bitmap when the address space is small enough."""
 
@@ -1536,7 +1548,7 @@ class _Visited:
 def _tarjan(offsets: array, targets: array, codes: array,
             fire_only: bool) -> Iterator[List[int]]:
     """Strongly connected components of a CSR graph over states
-    0..len(offsets) - 2 (see Engine._af_search), over its fire edges alone
+    0..len(offsets) - 2 (the CSR layout of _Region), over its fire edges alone
     (code != -1) when fire_only.
 
     Iterative Tarjan: roots are taken in state order and each state's
@@ -1592,13 +1604,14 @@ def _tarjan(offsets: array, targets: array, codes: array,
             resume.append(offsets[w])
 
 
-def _cycles(offsets: array, targets: array, codes: array, fire_only: bool,
-            member: bytearray, ncars: int) -> Iterator[Tuple[List[int], int]]:
-    """The components of _tarjan(offsets, targets, codes, fire_only) that
-    have an internal edge (a fire edge when fire_only), in its order, each
-    with the mask of the controllers (codes below ncars << 8) that fire on
-    an internal edge.  member[k] is 1 for the states of the component just
-    yielded, and 0 for every other state, until the generator resumes."""
+def _cycles(region: _Region, fire_only: bool, member: bytearray,
+            ncars: int) -> Iterator[Tuple[List[int], int]]:
+    """The components of a complete region that have an internal edge (a
+    fire edge when fire_only), in _tarjan's order, each with the mask of
+    the controllers (codes below ncars << 8) that fire on an internal
+    edge.  member[k] is 1 for the states of the component just yielded,
+    and 0 for every other state, until the generator resumes."""
+    offsets, targets, codes = region.offsets, region.targets, region.codes
     for scc in _tarjan(offsets, targets, codes, fire_only):
         for k in scc:
             member[k] = 1
@@ -1614,20 +1627,6 @@ def _cycles(offsets: array, targets: array, codes: array, fire_only: bool,
             yield scc, fired
         for k in scc:
             member[k] = 0
-
-
-def _csr_succ(order: List[int], index: Dict[int, int], offsets: array,
-              targets: array, codes: array) -> Callable[[int], List[Tuple[int, int]]]:
-    """The edges (code, sid) of a numbered region in CSR form (see
-    Engine._af_search), looked up by sid; a state found but not expanded
-    has none."""
-    def succ(sid: int) -> List[Tuple[int, int]]:
-        k = index[sid]
-        if k + 1 >= len(offsets):
-            return []
-        return [(codes[e], order[targets[e]])
-                for e in range(offsets[k], offsets[k + 1])]
-    return succ
 
 
 # ---------------------------------------------------------------------------

@@ -145,17 +145,6 @@ _KEYWORDS = {"true", "free", "re", "cl", "exists"}
 
 
 def format_formula(f: Formula) -> str:
-    def prec(g: Formula) -> int:
-        if isinstance(g, ExistsCar):
-            return 0
-        if isinstance(g, HChop):
-            return 1
-        if isinstance(g, And):
-            return 2
-        if isinstance(g, Not):
-            return 3
-        return 4
-
     def fmt(g: Formula, min_prec: int) -> str:
         payload = _somewhere_payload(g)
         if payload is not None:

@@ -413,7 +413,7 @@ def test_witnesses_are_first_breadth_first_walks():
 
 @st.composite
 def _csr_graphs(draw):
-    """A random region graph in the CSR form of Engine._af_search: each
+    """A random region graph in the CSR form of checker._Region: each
     state's edges as (target, code) with code -1 for a delay."""
     n = draw(st.integers(1, 12))
     code = st.sampled_from([-1, -1, 0, 1, 1 << 8, (1 << 8) | 2, 2 << 8])
@@ -494,6 +494,22 @@ def test_acyclic_fire_graphs_leave_no_zero_delay_cycle(eng):
         members = set(scc)
         assert not any(targets[e] in members and codes[e] != -1
                        for k in scc for e in range(offsets[k], offsets[k + 1])), scc
+
+
+@given(_small_roads(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fire_only_region_gives_the_whole_search_witness(eng, first):
+    # watching the first car or every car: when the whole region has no
+    # stuck state, a zero-delay witness built from the fire-only region is
+    # the whole-road search's, after storing no more states
+    hypothesis.assume(eng._live_cars)
+    good = eng._goal(eng._live_cars[:1] if first else eng._live_cars)
+    _, _, stop = eng._region(good, False)
+    witness, stored = eng._zero_delay_witness(good)
+    if stop is None and witness is not None:
+        v = eng._af(good)
+        assert (v.witness, v.note) == (witness, checker._ZERO_DELAY_NOTE)
+        assert stored <= v.states
 
 
 def test_liveness_region_memory_per_state():
@@ -937,6 +953,46 @@ def test_zero_delay_failure_without_a_cycle_from_the_start():
     replay(v.witness)
 
 
+def test_group_control_flow_reads_no_note(monkeypatch):
+    # _by_group takes its next step from each group's typed part, never
+    # from the text of a verdict's note
+    search = Engine._af_search
+
+    def blank_notes(self, good):
+        verdict, witness, part = search(self, good)
+        return dataclasses.replace(verdict, note="?"), witness, part
+    monkeypatch.setattr(Engine, "_af_search", blank_notes)
+    v = run_query(fig1(), LivenessCar("A"))
+    assert (v.outcome, v.states, v.explored, v.note) == (
+        "fails", 5_928, 114 + 52 + 64, "zero-delay cycle avoids the goal")
+
+
+def test_group_parts():
+    # what each group's search says of the road's answer, in group order,
+    # with the group's state count: one road per kind of part
+    P = checker._Part
+
+    def parts(eng, query):
+        liveness = isinstance(query, (LivenessAny, LivenessCar))
+        watched = eng._liveness_targets(query) if liveness else ()
+        return [(part, v.states) for v, part in
+                (eng._restrict(g)._group_part(query, watched) for g in eng._pair_graph().groups)]
+
+    unsafe, _, timelock = _failing_group_roads()
+    for (eng, query), want in (
+            (unsafe, [(P.RULES_OUT, 2), (P.SETTLES, 18)]),
+            (timelock, [(P.RULES_OUT, 6), (P.SETTLES, 6)])):
+        assert parts(eng, query) == want, query
+    for variant, query, want in (
+            ("original", LivenessCar("A"), [(P.ZERO_DELAY, 114), (P.OPEN, 52)]),
+            ("original", LivenessAny(), [(P.ZERO_DELAY, 30), (P.SETTLES, 5)]),
+            ("original-plus-tw", LivenessAny(), [(P.OPEN, 45), (P.SETTLES, 6)]),
+            ("live", LivenessCar("A"), [(P.SETTLES, 125), (P.OPEN, 58)])):
+        assert parts(Engine.for_query(fig1(variant), query), query) == want, (variant, query)
+    eng = Engine.for_query(fig1(), SafetyNoCollision(), budget=50)
+    assert parts(eng, SafetyNoCollision())[0][0] is P.RULES_OUT
+
+
 def test_liveness_with_the_collision_observer_is_not_decomposed():
     eng = Engine(4, [(c.name, c.lane, c.pos, c.size) for c in fig1().cars], "live",
                  collision_observer=True, live_observers=("A",))
@@ -983,7 +1039,27 @@ def test_failing_group_builds_one_witness(monkeypatch):
         assert v.outcome == "fails" and traced == [eng], query
 
 
-# --- budgets -------------------------------------------------------------------------
+# --- budgets and visited sets --------------------------------------------------------
+
+
+def test_visited_set_path_matches_the_bitmap(monkeypatch):
+    # an AG search whose packed space exceeds _BITMAP_LIMIT keeps its
+    # visited states in a set; by group and whole-road, every answer must
+    # be the bitmap's
+    cases = [(Engine.for_query(fig1(variant), query, budget=budget), query)
+             for variant in ("original", "original-plus-tw", "live")
+             for query in (NoDeadlock(), SafetyNoCollision())
+             for budget in (None, 50)]
+    cases.append(next(_failing_group_roads()))
+
+    def answers():
+        return [(v.outcome, v.states, v.explored, v.note, v.witness)
+                for eng, query in cases for v in (eng.run_query(query), eng._whole(query))]
+    bitmap = answers()
+    monkeypatch.setattr(checker, "_BITMAP_LIMIT", 0)
+    assert checker._Visited(1)._set is not None
+    assert answers() == bitmap
+    assert bitmap[-2][0] == "fails" and bitmap[-2][4] is not None
 
 
 def test_budget_makes_searches_inconclusive():
