@@ -18,6 +18,27 @@ chop composes them over lane splits (the usual dynamic program for chop
 in interval temporal logic).  "sweep" is the direct top-down recursion
 over every split point and serves as the reference in tests.
 
+The fast rows run on the formula compiled once (_Program, cached per
+distinct formula): its subformulas are numbered, each with an int tag, its
+children and its free variables, and a row is memoised under one packed
+int key of (node, lane band, r, the node's variable bindings).
+
+The compiler folds `<phi>`, which is [true / [(true ; (phi ; true)) /
+true]], into one node, by unfolding the chop rules on lanes ll..ln and
+extent [r, t]:
+  - the outer vertical chop splits at some m in [ll - 1, ln] with true
+    below, the inner one at some m' in [m, ln] with true above, so the
+    middle part holds on the sub-band [a, b] = [m + 1, m'] for some
+    ll <= a <= ln + 1 and a - 1 <= b <= ln (b = a - 1 is an empty band);
+  - on that band, true ; (phi ; true) holds on [r, t] iff phi holds on
+    some [s, u] with r <= s <= u <= t (the two split points, true on both
+    flanks).
+So <phi> holds on [r, t] iff t >= u*, the least u for which phi holds on
+some such [a, b] and [s, u] with s >= r, and its row from r is the span
+from u* to the view's end.  As u >= s, the scan over s for a band stops
+once s reaches the least u found so far.  This is the one chop rule
+unfolded, not another rule.
+
 The module also carries `cc` and `pc`, the collision checks by interval
 arithmetic, and builders for their formula counterparts, so tests can
 cross-validate the two.
@@ -29,7 +50,7 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .traffic import CarState, Extent, TrafficSnapshot, View
+from .traffic import CarState, TrafficSnapshot, View
 
 
 class MlslError(Exception):
@@ -368,9 +389,12 @@ def _free_vars(f: Formula) -> Tuple[str, ...]:
 
 
 class _Ctx:
-    __slots__ = ("names", "ext", "res", "clm", "memo", "lo", "hi", "fv")
+    """One sweep evaluation (_eval): the cars' extents and lane sets, and
+    its memo."""
 
-    def __init__(self, ts: TrafficSnapshot, extent: Extent):
+    __slots__ = ("names", "ext", "res", "clm", "memo")
+
+    def __init__(self, ts: TrafficSnapshot):
         self.names = tuple(sorted(ts.cars))
         self.ext = {n: (ts.cars[n].pos, ts.cars[n].pos + ts.cars[n].size) for n in self.names}
         self.res = {n: ts.cars[n].res for n in self.names}
@@ -378,9 +402,7 @@ class _Ctx:
         # nested chops revisit the same node on the same subview many
         # times, once per split combination above it; results only depend
         # on the subview and the node's free-variable bindings
-        self.memo: Dict[tuple, Union[bool, int]] = {}
-        self.lo, self.hi = extent.lo, extent.hi
-        self.fv: Dict[int, Tuple[str, ...]] = {}  # id(node) -> its free variables
+        self.memo: Dict[tuple, bool] = {}
 
     def visible(self, r: int, t: int) -> Tuple[str, ...]:
         ext = self.ext
@@ -460,85 +482,6 @@ def _eval(ctx: _Ctx, ll: int, ln: int, r: int, t: int, nu: Dict[str, Union[str, 
     raise MlslError(f"unknown formula node {f!r}")
 
 
-def _span(ctx: _Ctx, x: int, y: int) -> int:
-    """Row bits of the right ends x..y, clipped to the view's extent."""
-    y = min(y, ctx.hi)
-    return ((1 << (y - x + 1)) - 1) << (x - ctx.lo) if x <= y else 0
-
-
-def _row(ctx: _Ctx, ll: int, ln: int, r: int, nu: Dict[str, Union[str, int]], f: Formula) -> int:
-    """The right ends t in [r, hi] where f holds on lanes ll..ln, extent [r, t].
-
-    Bit t - lo of the result stands for t.  Each row is computed once per
-    (node, band, r, binding), not once per path of chop points leading
-    there.
-    """
-    if isinstance(f, TrueF):
-        return _span(ctx, r, ctx.hi)
-    if isinstance(f, VarEq):
-        return _span(ctx, r, ctx.hi) if _lookup(nu, f.left) == _lookup(nu, f.right) else 0
-    if isinstance(f, Free):
-        if ln != ll:
-            return 0
-        # free on [r, t] iff r < t and every car reaching past r starts at t or later
-        end = ctx.hi
-        for a, b in ctx.ext.values():
-            if b > r:
-                end = min(end, a)
-        return _span(ctx, r + 1, end)
-    if isinstance(f, (Re, Cl)):
-        if ln != ll or r >= ctx.hi:
-            return 0
-        alpha = _lookup(nu, f.car)
-        ext = ctx.ext.get(alpha)
-        if ext is None:
-            raise EvalError(f"variable {f.car!r} valuates to unknown car {alpha!r}")
-        a, b = ext
-        lanes = ctx.res[alpha] if isinstance(f, Re) else ctx.clm[alpha]
-        return _span(ctx, r + 1, b) if ll in lanes and a <= r else 0
-    fv = ctx.fv.get(id(f))
-    if fv is None:
-        fv = ctx.fv[id(f)] = _free_vars(f)
-    key = (id(f), ll, ln, r, tuple(nu.get(v) for v in fv))
-    hit = ctx.memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(f, Not):
-        row = _span(ctx, r, ctx.hi) & ~_row(ctx, ll, ln, r, nu, f.sub)
-    elif isinstance(f, And):
-        row = _row(ctx, ll, ln, r, nu, f.left)
-        if row:
-            row &= _row(ctx, ll, ln, r, nu, f.right)
-    elif isinstance(f, ExistsCar):
-        shadowed = nu.get(f.var, _MISSING)
-        row = 0
-        for alpha in ctx.names:
-            a, b = ctx.ext[alpha]
-            if b >= r:  # visible on [r, t] from t = a on
-                nu[f.var] = alpha
-                row |= _row(ctx, ll, ln, r, nu, f.sub) & _span(ctx, max(a, r), ctx.hi)
-        _restore(nu, f.var, shadowed)
-    elif isinstance(f, HChop):
-        # some split point s in [r, t] with the left part on [r, s] and the
-        # right part on [s, t]: the right rows of every s in the left row
-        row = 0
-        left = _row(ctx, ll, ln, r, nu, f.left)
-        while left:
-            low = left & -left
-            left ^= low
-            row |= _row(ctx, ll, ln, ctx.lo + low.bit_length() - 1, nu, f.right)
-    elif isinstance(f, VChop):
-        row = 0
-        for m in range(ll - 1, ln + 1):
-            lower = _row(ctx, ll, m, r, nu, f.lower)
-            if lower:
-                row |= lower & _row(ctx, m + 1, ln, r, nu, f.upper)
-    else:
-        raise MlslError(f"unknown formula node {f!r}")
-    ctx.memo[key] = row
-    return row
-
-
 _MISSING = object()
 
 
@@ -556,6 +499,237 @@ def _lookup(nu: Mapping[str, Union[str, int]], var: str):
         raise EvalError(f"unbound variable {var!r}") from None
 
 
+# node tags of a compiled formula; every tag from _NOT on is memoised
+_TRUE, _VAREQ, _FREE, _RE, _CL, _NOT, _AND, _EXISTS, _HCHOP, _VCHOP, _SOME = range(11)
+
+
+class _Program:
+    """A formula with its subformulas numbered in preorder, the root as 0.
+
+    Node k has tag tags[k] and operands one[k], two[k]: child node numbers,
+    or variable slots for VarEq (both), Re/Cl (one) and the variable bound
+    by ExistsCar (one; its body is two).  fv[k] holds the slots free in
+    node k, vars[slot] the variable's name.  Equal subformulas share one
+    node, and a somewhere() shape is one _SOME node over its payload.
+    """
+
+    __slots__ = ("tags", "one", "two", "fv", "vars")
+
+    def __init__(self, phi: Formula):
+        self.tags: List[int] = []
+        self.one: List[int] = []
+        self.two: List[int] = []
+        self.fv: List[Tuple[int, ...]] = []
+        self.vars: List[str] = []
+        slots: Dict[str, int] = {}
+        numbered: Dict[Formula, int] = {}
+
+        def slot(var: str) -> int:
+            if var not in slots:
+                slots[var] = len(self.vars)
+                self.vars.append(var)
+            return slots[var]
+
+        def node(f: Formula) -> int:
+            k = numbered.get(f)
+            if k is not None:
+                return k
+            k = numbered[f] = len(self.tags)
+            for column in (self.tags, self.one, self.two, self.fv):
+                column.append(None)
+            payload = _somewhere_payload(f)
+            one = two = -1
+            if payload is not None:
+                tag, one = _SOME, node(payload)
+                free = self.fv[one]
+            elif isinstance(f, TrueF):
+                tag, free = _TRUE, ()
+            elif isinstance(f, Free):
+                tag, free = _FREE, ()
+            elif isinstance(f, VarEq):
+                tag, one, two = _VAREQ, slot(f.left), slot(f.right)
+                free = tuple(sorted({one, two}))
+            elif isinstance(f, (Re, Cl)):
+                tag, one = (_RE if isinstance(f, Re) else _CL), slot(f.car)
+                free = (one,)
+            elif isinstance(f, Not):
+                tag, one = _NOT, node(f.sub)
+                free = self.fv[one]
+            elif isinstance(f, (And, HChop)):
+                tag, one, two = (_AND if isinstance(f, And) else _HCHOP), node(f.left), node(f.right)
+                free = tuple(sorted(set(self.fv[one]) | set(self.fv[two])))
+            elif isinstance(f, VChop):
+                tag, one, two = _VCHOP, node(f.lower), node(f.upper)
+                free = tuple(sorted(set(self.fv[one]) | set(self.fv[two])))
+            elif isinstance(f, ExistsCar):
+                tag, one, two = _EXISTS, slot(f.var), node(f.sub)
+                free = tuple(v for v in self.fv[two] if v != one)
+            else:
+                raise MlslError(f"unknown formula node {f!r}")
+            self.tags[k], self.one[k], self.two[k], self.fv[k] = tag, one, two, free
+            return k
+
+        node(phi)
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(phi: Formula) -> _Program:
+    """phi's program.  Formulas are frozen and hashable, so an equal
+    formula built anew per call compiles once; the bound keeps formulas
+    that are each evaluated once (random tests, a CLI session) from
+    growing the cache without end."""
+    return _Program(phi)
+
+
+class _Rows:
+    """One fast evaluation: the compiled program, the view, the cars by
+    index, the valuation by slot, and the row memo.
+
+    Values are coded as small ints: car k (in name order) is k, another
+    value the caller bound is a code after the cars, and an unbound slot
+    holds `unbound`, the largest code.  A memo key packs (node, band, r)
+    into the low `fixed` values and the node's binding digits, base
+    `unbound + 1`, above them.  Every operand ranges over a window of
+    fixed width (node in [0, N), ln in [L - 1, H], ll in [L, H + 1], r in
+    [lo, hi] for the view's lanes L..H and extent lo..hi), so the low part
+    decodes to one (node, band, r); the node fixes how many digits follow.
+    """
+
+    __slots__ = ("prog", "values", "env", "unbound", "lo", "hi", "ext", "res", "clm",
+                 "width", "nodes", "fixed", "memo")
+
+    def __init__(self, prog: _Program, ts: TrafficSnapshot, view: View, nu: Valuation):
+        names = sorted(ts.cars)
+        cars = [ts.cars[n] for n in names]
+        self.prog = prog
+        self.values: List[Union[str, int]] = list(names)
+        codes = {n: k for k, n in enumerate(names)}
+        bound = [nu.get(v, _MISSING) for v in prog.vars]
+        for value in bound:
+            if value is not _MISSING and value not in codes:
+                codes[value] = len(self.values)
+                self.values.append(value)
+        self.unbound = len(self.values)
+        self.env = [self.unbound if value is _MISSING else codes[value] for value in bound]
+        self.lo, self.hi = view.extent.lo, view.extent.hi
+        self.ext = [(c.pos, c.pos + c.size) for c in cars]
+        self.res = [c.res for c in cars]
+        self.clm = [c.clm for c in cars]
+        self.width = view.lane_hi - view.lane_lo + 2
+        self.nodes = len(prog.tags)
+        self.fixed = self.nodes * self.width * self.width * (self.hi - self.lo + 1)
+        self.memo: Dict[int, int] = {}
+
+    def value(self, slot: int) -> int:
+        """The code bound to slot, or EvalError if it is unbound."""
+        code = self.env[slot]
+        if code == self.unbound:
+            raise EvalError(f"unbound variable {self.prog.vars[slot]!r}")
+        return code
+
+    def car(self, slot: int) -> int:
+        """The car index bound to slot, or EvalError."""
+        alpha = self.value(slot)
+        if alpha >= len(self.ext):
+            raise EvalError(f"variable {self.prog.vars[slot]!r} valuates to unknown car "
+                            f"{self.values[alpha]!r}")
+        return alpha
+
+
+def _span(ctx: _Rows, x: int, y: int) -> int:
+    """Row bits of the right ends x..y, clipped to the view's extent."""
+    y = min(y, ctx.hi)
+    return ((1 << (y - x + 1)) - 1) << (x - ctx.lo) if x <= y else 0
+
+
+def _row(ctx: _Rows, ll: int, ln: int, r: int, node: int) -> int:
+    """The right ends t in [r, hi] where node holds on lanes ll..ln, extent [r, t].
+
+    Bit t - lo of the result stands for t.  Each row is computed once per
+    (node, band, r, binding), not once per path of chop points leading
+    there.
+    """
+    prog = ctx.prog
+    tag = prog.tags[node]
+    if tag == _TRUE:
+        return _span(ctx, r, ctx.hi)
+    if tag == _RE or tag == _CL:
+        if ln != ll or r >= ctx.hi:
+            return 0
+        alpha = ctx.car(prog.one[node])
+        a, b = ctx.ext[alpha]
+        lanes = ctx.res[alpha] if tag == _RE else ctx.clm[alpha]
+        return _span(ctx, r + 1, b) if ll in lanes and a <= r else 0
+    if tag == _VAREQ:
+        u, v = ctx.value(prog.one[node]), ctx.value(prog.two[node])
+        return _span(ctx, r, ctx.hi) if u == v else 0
+    if tag == _FREE:
+        if ln != ll:
+            return 0
+        # free on [r, t] iff r < t and every car reaching past r starts at t or later
+        end = ctx.hi
+        for a, b in ctx.ext:
+            if b > r:
+                end = min(end, a)
+        return _span(ctx, r + 1, end)
+    env = ctx.env
+    binding = 0
+    for slot in prog.fv[node]:
+        binding = binding * (ctx.unbound + 1) + env[slot]
+    width = ctx.width
+    key = node + ctx.nodes * (ln + width * (ll + width * r)) + ctx.fixed * binding
+    memo = ctx.memo
+    row = memo.get(key)
+    if row is not None:
+        return row
+    if tag == _SOME:
+        # the least u such that the payload holds on some sub-band and
+        # some [s, u] with r <= s; see the module docstring
+        sub, lo, best = prog.one[node], ctx.lo, ctx.hi + 1
+        for a in range(ll, ln + 2):
+            for b in range(a - 1, ln + 1):
+                s = r
+                while s < best:
+                    found = _row(ctx, a, b, s, sub)
+                    if found:
+                        best = min(best, lo + (found & -found).bit_length() - 1)
+                    s += 1
+        row = _span(ctx, best, ctx.hi)
+    elif tag == _AND:
+        row = _row(ctx, ll, ln, r, prog.one[node])
+        if row:
+            row &= _row(ctx, ll, ln, r, prog.two[node])
+    elif tag == _NOT:
+        row = _span(ctx, r, ctx.hi) & ~_row(ctx, ll, ln, r, prog.one[node])
+    elif tag == _EXISTS:
+        var, sub = prog.one[node], prog.two[node]
+        shadowed = env[var]
+        row = 0
+        for alpha, (a, b) in enumerate(ctx.ext):
+            if b >= r:  # visible on [r, t] from t = a on
+                env[var] = alpha
+                row |= _row(ctx, ll, ln, r, sub) & _span(ctx, max(a, r), ctx.hi)
+        env[var] = shadowed
+    elif tag == _HCHOP:
+        # some split point s in [r, t] with the left part on [r, s] and the
+        # right part on [s, t]: the right rows of every s in the left row
+        row = 0
+        left, right = _row(ctx, ll, ln, r, prog.one[node]), prog.two[node]
+        while left:
+            low = left & -left
+            left ^= low
+            row |= _row(ctx, ll, ln, ctx.lo + low.bit_length() - 1, right)
+    else:  # _VCHOP
+        row = 0
+        lower, upper = prog.one[node], prog.two[node]
+        for m in range(ll - 1, ln + 1):
+            below = _row(ctx, ll, m, r, lower)
+            if below:
+                row |= below & _row(ctx, m + 1, ln, r, upper)
+    memo[key] = row
+    return row
+
+
 def eval(ts: TrafficSnapshot, view: View, nu: Valuation, phi: Formula,
          chop_mode: str = "fast") -> bool:  # noqa: A001 — name fixed by the API
     """Satisfaction of phi over the view, under valuation nu.
@@ -563,18 +737,18 @@ def eval(ts: TrafficSnapshot, view: View, nu: Valuation, phi: Formula,
     nu must bind `ego` (and every other free variable of phi).  Both
     chop_modes apply the one chop rule, a split at some point of the
     extent; chop_mode picks the algorithm: "fast" builds rows bottom-up
-    (_row), "sweep" recurses top-down over every split point (_eval, the
-    reference the tests compare against).
+    (_row, over phi compiled once), "sweep" recurses top-down over every
+    split point (_eval, the reference the tests compare against).
     """
     if chop_mode not in ("fast", "sweep"):
         raise ValueError(f"chop_mode must be 'fast' or 'sweep', got {chop_mode!r}")
     if "ego" not in nu:
         raise EvalError("valuation must bind 'ego'")
-    ctx = _Ctx(ts, view.extent)
     lo, hi = view.extent.lo, view.extent.hi
     if chop_mode == "sweep":
-        return _eval(ctx, view.lane_lo, view.lane_hi, lo, hi, dict(nu), phi)
-    return bool(_row(ctx, view.lane_lo, view.lane_hi, lo, dict(nu), phi) >> (hi - lo) & 1)
+        return _eval(_Ctx(ts), view.lane_lo, view.lane_hi, lo, hi, dict(nu), phi)
+    ctx = _Rows(_compile(phi), ts, view, nu)
+    return bool(_row(ctx, view.lane_lo, view.lane_hi, lo, 0) >> (hi - lo) & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Spatial formula evaluation: atoms, chops, parsing, fast rows against the sweep."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lanecheck import mlsl
 from lanecheck.mlsl import (
@@ -314,7 +314,7 @@ def _eval_cases(draw):
     return ts, View(lo, hi, Extent(r, t)), nu, phi
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(_eval_cases())
 def test_fast_chop_agrees_with_sweep(case):
     ts, view, nu, phi = case
@@ -346,6 +346,106 @@ def test_fast_chop_agrees_with_sweep_across_long_car_free_gaps():
                     if fast:
                         held.add(text)
     assert held == set(formulas)
+
+
+def test_memo_keys_of_nodes_with_different_free_variables_stay_apart():
+    # a memo key that appended a node's binding digits right after the node
+    # number let a node with fewer free variables read another node's row
+    # here; the fast rows then said True
+    ts = TrafficSnapshot(1, {"C0": CarState(1, 1, res={0})})
+    view = View(0, 0, Extent(0, 1))
+    nu = {"ego": "C0", "c": "C0", "d": "C0"}
+    phi = somewhere(And(And(VarEq("ego", "c"), VarEq("ego", "c")), And(TrueF(), Re("ego"))))
+    assert not mlsl.eval(ts, view, nu, phi, chop_mode="sweep")
+    assert not mlsl.eval(ts, view, nu, phi)
+
+
+# --- <phi> against its definition: phi somewhere in the view ----------------------
+
+
+def _holds_in_some_subview(ts, view, nu, phi):
+    """phi holds, by the sweep, on some sub-band (empty ones included) of
+    the view's lanes crossed with some [s, u] inside its extent."""
+    lo, hi = view.extent.lo, view.extent.hi
+    return any(mlsl.eval(ts, View(a, b, Extent(s, u)), nu, phi, chop_mode="sweep")
+               for a in range(view.lane_lo, view.lane_hi + 2)
+               for b in range(a - 1, view.lane_hi + 1)
+               for s in range(lo, hi + 1)
+               for u in range(s, hi + 1))
+
+
+_payloads = st.one_of(
+    st.sampled_from([
+        Not(Re("ego")),                                   # <!re(ego)>
+        somewhere(Re("c")),                               # <<re(c)>>
+        somewhere(somewhere(And(Re("ego"), Not(Cl("d"))))),
+        HChop(Re("d"), Free()),
+        VChop(lower=Re("ego"), upper=Cl("d")),
+        And(Not(VarEq("d", "ego")), HChop(Free(), Re("d"))),
+    ]),
+    st.recursive(_atoms, lambda sub: st.one_of(
+        sub.map(Not),
+        st.tuples(sub, sub).map(lambda p: And(*p)),
+        st.tuples(sub, sub).map(lambda p: HChop(*p)),
+        st.tuples(sub, sub).map(lambda p: VChop(lower=p[0], upper=p[1])),
+        sub.map(somewhere),
+    ), max_leaves=5),
+)
+
+
+@st.composite
+def _somewhere_cases(draw):
+    ts = draw(_snapshots())
+    lo = draw(st.integers(0, min(ts.lane_count, 3) - 1))
+    hi = draw(st.integers(lo, min(ts.lane_count, 3) - 1))
+    r = draw(st.integers(-10, 10))
+    t = r + draw(st.integers(0, 4))  # short extents, points (t == r) included
+    names = sorted(ts.cars)
+    nu = {v: draw(st.sampled_from(names)) for v in ("ego", "c", "d")}
+    return ts, View(lo, hi, Extent(r, t)), nu, draw(_payloads)
+
+
+# points (r == t): no positive-length atom holds there, !re(ego) does
+_POINT_ROAD = TrafficSnapshot(2, {"A": CarState(0, 4, res={0}), "B": CarState(2, 4, res={1})})
+_POINT_NU = {"ego": "A", "c": "B", "d": "B"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_somewhere_cases())
+@example((_POINT_ROAD, View(0, 1, Extent(2, 2)), _POINT_NU, Not(Re("ego"))))
+@example((_POINT_ROAD, View(0, 1, Extent(2, 2)), _POINT_NU, somewhere(Re("c"))))
+@example((_POINT_ROAD, View(0, 1, Extent(6, 6)), _POINT_NU, Free()))
+@example((_POINT_ROAD, View(0, 1, Extent(1, 3)), _POINT_NU, somewhere(somewhere(Re("c")))))
+def test_somewhere_is_phi_on_some_subview(case):
+    ts, view, nu, phi = case
+    assert mlsl.eval(ts, view, nu, somewhere(phi)) == _holds_in_some_subview(ts, view, nu, phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_somewhere_cases())
+@example((_POINT_ROAD, View(0, 1, Extent(3, 3)), _POINT_NU, And(Not(VarEq("d", "ego")), Re("d"))))
+@example((_POINT_ROAD, View(1, 1, Extent(0, 5)), _POINT_NU, And(Not(VarEq("d", "ego")), Re("d"))))
+def test_somewhere_under_exists_binds_the_car_inside(case):
+    # exists d. <phi>: some car visible in the view, bound to d inside <phi>
+    ts, view, nu, phi = case
+    lo, hi = view.extent.lo, view.extent.hi
+    want = any(car.pos <= hi and car.pos + car.size >= lo
+               and _holds_in_some_subview(ts, view, {**nu, "d": name}, phi)
+               for name, car in sorted(ts.cars.items()))
+    assert mlsl.eval(ts, view, nu, ExistsCar("d", somewhere(phi))) == want
+
+
+def test_somewhere_row_takes_the_least_end_over_every_start():
+    # on lane 0 the payload holds on [0, 6] (re(ego) ; re(c)) and on [3, 4]
+    # (cl(d)): the row of <phi> from 0 starts at 4, though the first start
+    # where phi holds gives 6; "<phi> ; re(c)" on [0, 6] needs the split at 5
+    ts = TrafficSnapshot(2, {"A": CarState(0, 5, res={0}), "B": CarState(5, 5, res={0}),
+                             "D": CarState(3, 1, res={1}, clm={0})})
+    nu = {"ego": "A", "c": "B", "d": "D"}
+    phi = HChop(somewhere(or_(HChop(Re("ego"), Re("c")), Cl("d"))), Re("c"))
+    view = View(0, 0, Extent(0, 6))
+    assert mlsl.eval(ts, view, nu, phi, chop_mode="sweep")
+    assert mlsl.eval(ts, view, nu, phi)
 
 
 # --- interval encodings of the controller checks -----------------------------------
