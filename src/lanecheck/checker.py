@@ -144,7 +144,7 @@ import os
 from array import array
 from dataclasses import dataclass, replace
 from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple, Union)
+                    Optional, Sequence, Tuple, Union)
 
 from . import mlsl, traffic
 from .automata import (ActClaim, ActReserve, ActTau, ActWithdrawClaim,
@@ -159,8 +159,6 @@ from .traffic import CarState, Claim, Extent, Reserve, Tau, TrafficSnapshot, \
 BUDGET_ENV_VAR = "LANECHECK_STATE_BUDGET"
 DEFAULT_STATE_BUDGET = 10_000_000
 
-# dense visited bitmaps up to this many addressable states (32 MB)
-_BITMAP_LIMIT = 1 << 28
 # successor rows memoised per car and query (Engine._expand), about 240 B
 # each; misses past this many are computed and not stored
 _ROW_LIMIT = 1 << 14
@@ -204,6 +202,18 @@ class LivenessCar:
 
 
 Query = Union[NoDeadlock, SafetyNoCollision, LivenessAny, LivenessCar]
+
+
+def _watched_cars(query: Query, names: Sequence[str]) -> Tuple[str, ...]:
+    """The cars a query watches, in names order: a LivenessCar's car, the
+    cars of names a LivenessAny lists (all of them when it lists none),
+    and none for an AG query."""
+    if isinstance(query, LivenessCar):
+        return (query.car,)
+    if isinstance(query, LivenessAny):
+        return tuple(names) if query.cars is None else tuple(
+            w for w in names if w in query.cars)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +314,6 @@ class Trace:
 
     def states(self) -> List[SystemState]:
         return [self.initial] + [s for _, s in self.steps]
-
-    def format(self) -> str:
-        lines = []
-        for k, (step, _) in enumerate(self.steps):
-            if self.cycle_start is not None and k == self.cycle_start:
-                lines.append("# cycle:")
-            lines.append(str(step))
-        if not lines:
-            lines.append("# initial state is already a witness")
-        return "\n".join(lines)
 
     def to_dict(self) -> dict:
         steps = []
@@ -723,7 +723,6 @@ class Engine:
         for k in range(len(radices) - 2, -1, -1):
             mults[k] = mults[k + 1] * radices[k + 1]
         self._mults = mults
-        self.state_space = mults[0] * radices[0] if radices else 1
         self._coll_digit = n if coll_obs is not None else -1
         self._live_digit0 = n + (1 if coll_obs is not None else 0)
         self._collide_code = n << 8
@@ -1127,12 +1126,21 @@ class Engine:
     def _ag_search(self, bad, needs_expansion: bool) -> Tuple[Verdict, Optional[int]]:
         """Breadth-first search from the start for a bad state that stores
         no parents: the verdict without its witness, and the bad state, if
-        one was found."""
+        one was found.
+
+        The visited states are a paged bitmap: pages[p] holds the bits of
+        sids 1024 * p .. 1024 * p + 1023 in a bytearray(128), made when the
+        search first reaches one of them.  So the search stores one bit per
+        sid of the pages it touches, whatever the size of the packed space
+        (5.8e9 sids for five live cars with the collision observer).  A
+        state alone in its page costs about 245 B, where a set would hold
+        it in about 65 B.  The lookup runs once per edge and is written out
+        in the loop: as a method call it took about 15% longer."""
         init = self._initial_sid
         if not needs_expansion and bad(init, None):
             return Verdict("fails", states=1), init
-        visited = _Visited(self.state_space)
-        visited.add(init)
+        pages: Dict[int, bytearray] = {init >> 10: bytearray(128)}
+        pages[init >> 10][(init >> 3) & 127] = 1 << (init & 7)
         states = 1
         frontier = [init]
         while frontier:
@@ -1142,15 +1150,21 @@ class Engine:
                 if needs_expansion and bad(sid, expansion):
                     return Verdict("fails", states=states), sid
                 for code, s2 in expansion[0]:
-                    if visited.add(s2):
-                        if states >= self.budget:
-                            return Verdict(
-                                "inconclusive", states=states,
-                                note=f"state budget {self.budget} exhausted"), None
-                        states += 1
-                        if not needs_expansion and bad(s2, None):
-                            return Verdict("fails", states=states), s2
-                        nxt.append(s2)
+                    page = pages.get(s2 >> 10)
+                    if page is None:
+                        page = pages[s2 >> 10] = bytearray(128)
+                    byte, bit = (s2 >> 3) & 127, 1 << (s2 & 7)
+                    if page[byte] & bit:
+                        continue
+                    page[byte] |= bit
+                    if states >= self.budget:
+                        return Verdict(
+                            "inconclusive", states=states,
+                            note=f"state budget {self.budget} exhausted"), None
+                    states += 1
+                    if not needs_expansion and bad(s2, None):
+                        return Verdict("fails", states=states), s2
+                    nxt.append(s2)
             frontier = nxt
         return Verdict("holds", states=states), None
 
@@ -1424,15 +1438,11 @@ class Engine:
         return verdict, _Part.SETTLES if verdict.holds else _Part.RULES_OUT
 
     def _liveness_targets(self, query) -> Tuple[str, ...]:
-        if isinstance(query, LivenessCar):
-            wanted: Tuple[str, ...] = (query.car,)
-        else:
-            wanted = self.car_names if query.cars is None else tuple(
-                w for w in self.car_names if w in query.cars)
-            if isinstance(query, LivenessAny) and query.cars is not None:
-                missing = set(query.cars) - set(self.car_names)
-                if missing:
-                    raise CheckerError(f"liveness query names unknown cars {sorted(missing)}")
+        wanted = _watched_cars(query, self.car_names)
+        if isinstance(query, LivenessAny) and query.cars is not None:
+            missing = set(query.cars) - set(self.car_names)
+            if missing:
+                raise CheckerError(f"liveness query names unknown cars {sorted(missing)}")
         if not wanted:
             raise CheckerError("liveness query watches no cars")
         for w in wanted:
@@ -1454,23 +1464,14 @@ class Engine:
 
     @classmethod
     def for_query(cls, sc: Scenario, query: Query, **kwargs) -> "Engine":
-        collision = isinstance(query, SafetyNoCollision)
-        if isinstance(query, LivenessCar):
-            live: Tuple[str, ...] = (query.car,)
-        elif isinstance(query, LivenessAny):
-            names = sc.car_names()
-            live = names if query.cars is None else tuple(
-                w for w in names if w in query.cars)
-        else:
-            live = ()
         kwargs.setdefault("horizon", sc.effective_horizon())
         return cls(
             sc.lane_count,
             [(c.name, c.lane, c.pos, c.size) for c in sc.cars],
             variant=sc.variant,
             constants=sc.constants,
-            collision_observer=collision,
-            live_observers=live,
+            collision_observer=isinstance(query, SafetyNoCollision),
+            live_observers=_watched_cars(query, sc.car_names()),
             **kwargs,
         )
 
@@ -1518,31 +1519,6 @@ class _Region(NamedTuple):
             return []
         return [(self.codes[e], self.order[self.targets[e]])
                 for e in range(self.offsets[k], self.offsets[k + 1])]
-
-
-class _Visited:
-    """Visited-set: dense bitmap when the address space is small enough."""
-
-    def __init__(self, space: int):
-        if space <= _BITMAP_LIMIT:
-            self._bits = bytearray((space + 7) // 8)
-            self._set = None
-        else:
-            self._bits = None
-            self._set: Optional[Set[int]] = set()
-
-    def add(self, sid: int) -> bool:
-        """Insert; True when the state was new."""
-        if self._bits is not None:
-            byte, bit = sid >> 3, 1 << (sid & 7)
-            if self._bits[byte] & bit:
-                return False
-            self._bits[byte] |= bit
-            return True
-        if sid in self._set:
-            return False
-        self._set.add(sid)
-        return True
 
 
 def _tarjan(offsets: array, targets: array, codes: array,

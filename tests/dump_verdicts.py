@@ -7,12 +7,13 @@ before and after it and comparing the outputs byte for byte:
 
 Each line holds the case label, the outcome, the state counts (states,
 explored), the note and the witness (Trace.to_dict()).  The cases are
-five roads (fig1, three-lane fig1, scenarios/fourcars.scn, an unsafe start
-and a road whose liveness region has a stuck state) × 3 variants × the 4
-queries × {default budget (1,000,000 on fourcars), budget 50} × both
-guard modes, plus three check_ag/check_af cases on fig1 under `live`:
-243 in all.  Arguments, when given, are label prefixes: only the cases
-whose label starts with one of them run.  `--list` prints the labels.
+six roads (fig1, three-lane fig1, scenarios/fourcars.scn, an unsafe start,
+a road whose liveness region has a stuck state, and a five-car road whose
+packed space exceeds 2^28) × 3 variants × the 4 queries × {default budget
+(1,000,000 on fourcars), budget 50} × both guard modes, plus three
+check_ag/check_af cases on fig1 under `live`: 291 in all.  Arguments, when
+given, are label prefixes: only the cases whose label starts with one of
+them run.  `--list` prints the labels.
 """
 
 import json
@@ -24,7 +25,7 @@ from typing import Callable, Iterator, List, Tuple
 from lanecheck.checker import (Engine, LivenessAny, LivenessCar, NoDeadlock,
                                SafetyNoCollision, Verdict)
 from lanecheck.scenario import load_scenario
-from support import FIG1_CARS
+from support import FIG1_CARS, FIVE_CARS
 
 ROOT = Path(__file__).resolve().parent.parent
 VARIANTS = ("original", "original-plus-tw", "live")
@@ -44,6 +45,7 @@ def roads() -> List[Tuple[str, int, list, int, int]]:
         ("unsafe-start", 2, [("A", 0, 0, 5), ("B", 0, 3, 5)], 9, None),
         # only B sees A: A's liveness region has a stuck state
         ("stuck", 2, [("A", 0, 0, 10), ("B", 1, 5, 10)], 5, None),
+        ("five-cars", 4, list(FIVE_CARS), 23, None),
     ]
 
 

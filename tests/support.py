@@ -26,6 +26,11 @@ FIG1_CARS = (
     ScenarioCar("E", lane=3, pos=40, size=5),
 )
 
+# five cars in one interaction group on four lanes, as (name, lane, pos,
+# size): with the collision observer the packed space is 7.6e8 sids under
+# original and 5.8e9 under live, half that without it, all above 2^28
+FIVE_CARS = (("A", 0, 0, 6), ("B", 1, 4, 6), ("C", 2, 8, 6), ("D", 3, 12, 6), ("E", 2, 16, 6))
+
 
 def fig1(variant="original", lane_count=4, constants=None, horizon=None) -> Scenario:
     return Scenario(

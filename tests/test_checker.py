@@ -27,12 +27,13 @@ from lanecheck.checker import (
     Trace,
     run_query,
 )
+from lanecheck.cli import render_trace
 from lanecheck.scenario import Scenario, ScenarioCar, load_scenario
 from lanecheck.traffic import CarState, TrafficSnapshot
 
 import dump_verdicts
 import oracles
-from support import fig1, replay
+from support import FIVE_CARS, fig1, replay
 
 
 def tiny(variant="original", lanes=2, constants=None):
@@ -151,7 +152,7 @@ def test_state_and_trace_documents():
     tdoc = tr.to_dict()
     assert len(tdoc["steps"]) == 1
     assert tdoc["cycle_start"] is None
-    assert "fire" in tr.format() or "delay" in tr.format()
+    assert "fire" in render_trace(tr) or "delay" in render_trace(tr)
 
 
 # --- deadlock ------------------------------------------------------------------
@@ -369,7 +370,6 @@ def test_witnesses_are_first_breadth_first_walks():
     ag(eng, lambda s: oracles.is_deadlock(adj, s), eng.run_query(NoDeadlock()))
     # the dense benchmark chain, a large state space
     eng = Engine(4, dense)
-    assert eng.state_space == 7_311_616
     both = lambda s: s.location("B") == s.location("C") == "changing"
     ag(eng, both, eng.check_ag(both))
     # on the last road the first walk inside the fair SCC to a fire of A
@@ -757,7 +757,7 @@ def test_every_start_is_its_own_delay_successor():
 
 def test_verdict_dump_runs_one_case(capsys):
     labels = [label for label, _ in dump_verdicts.cases()]
-    assert len(set(labels)) == len(labels) == 243
+    assert len(set(labels)) == len(labels) == 291
     case = "fig1/original/safety/budget=default/interval"
     assert dump_verdicts.main([case]) == 0
     line, = capsys.readouterr().out.splitlines()
@@ -1039,27 +1039,30 @@ def test_failing_group_builds_one_witness(monkeypatch):
         assert v.outcome == "fails" and traced == [eng], query
 
 
-# --- budgets and visited sets --------------------------------------------------------
+# --- budgets and visited states -----------------------------------------------------
 
 
-def test_visited_set_path_matches_the_bitmap(monkeypatch):
-    # an AG search whose packed space exceeds _BITMAP_LIMIT keeps its
-    # visited states in a set; by group and whole-road, every answer must
-    # be the bitmap's
-    cases = [(Engine.for_query(fig1(variant), query, budget=budget), query)
-             for variant in ("original", "original-plus-tw", "live")
-             for query in (NoDeadlock(), SafetyNoCollision())
-             for budget in (None, 50)]
-    cases.append(next(_failing_group_roads()))
-
-    def answers():
-        return [(v.outcome, v.states, v.explored, v.note, v.witness)
-                for eng, query in cases for v in (eng.run_query(query), eng._whole(query))]
-    bitmap = answers()
-    monkeypatch.setattr(checker, "_BITMAP_LIMIT", 0)
-    assert checker._Visited(1)._set is not None
-    assert answers() == bitmap
-    assert bitmap[-2][0] == "fails" and bitmap[-2][4] is not None
+def test_ag_searches_over_a_space_above_2_to_the_28_match_the_oracle():
+    # few of the sids of FIVE_CARS are reachable, so the visited pages
+    # are sparse; run_query and the whole-road search must both give the
+    # oracle's answer and state count
+    cars = list(FIVE_CARS)
+    for variant, states in (("original", 1_242), ("original-plus-tw", 8_700), ("live", 39)):
+        for query in (SafetyNoCollision(), NoDeadlock()):
+            collision = isinstance(query, SafetyNoCollision)
+            eng = Engine(4, cars, variant, collision_observer=collision)
+            assert eng._mults[0] * eng._radices[0] > 1 << 28
+            _, adj = oracles.explore(eng)
+            bad = oracles.collision_bad if collision else \
+                lambda s: oracles.is_deadlock(adj, s)
+            want = "fails" if any(bad(s) for s in adj) else "holds"
+            assert len(adj) == states
+            for v in (eng.run_query(query), eng._whole(query)):
+                assert (v.outcome, v.states) == (want, states), (variant, query)
+            if variant != "live":
+                eng = Engine(4, cars, variant, collision_observer=collision, budget=50)
+                for v in (eng.run_query(query), eng._whole(query)):
+                    assert (v.outcome, v.states) == ("inconclusive", 50), (variant, query)
 
 
 def test_budget_makes_searches_inconclusive():
