@@ -129,6 +129,28 @@ when they hold one, and the same cycle through it; the stem walks the
 whole region's edges on demand.  When they hold none, the whole road is
 searched.
 
+When every group region is built to the end with no stuck state and no
+zero-delay cycle, and none settles the query (each group's part is
+OPEN), the road's region is searched as the product of the group
+regions, unless that product exceeds the budget; the product is never
+stored (``_Product``).  A product state is numbered by the mixed radix
+of its group state numbers.  Its edges, in ``_expand`` order, are every
+group's fire edges, merged in road car order and then slot, then one
+delay edge when every group's state keeps its own: a fire of one group
+is enabled and avoids the goal exactly when it does in the group, and
+the road's delay is enabled and avoids the goal exactly when each
+group's is and does.  Its enabled mask is the union of the group masks.
+That is exact.  Every region state is reachable from state 0, the start,
+so the one depth-first search of Tarjan's pass from root 0, taking each
+state's edges in ``_expand`` order, fixes the components, their order,
+the first fair one, its first state and every breadth-first walk of the
+witness, however the states are numbered.  No group region has a cycle
+of fires, and a product cycle of fires projects onto one in some group,
+so the product has none either, and the fire-only pass is skipped even
+under ``original``.  The verdict, its state count and its witness are
+the whole road's; ``explored`` counts the group states and the
+product's.
+
 Otherwise the whole road is searched once more, so other failing
 liveness verdicts and their witnesses are those of the whole product
 too; a group with a fair cycle of its own does not settle the query but
@@ -143,8 +165,8 @@ import functools
 import os
 from array import array
 from dataclasses import dataclass, replace
-from typing import (Callable, Dict, FrozenSet, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from . import mlsl, traffic
 from .automata import (ActClaim, ActReserve, ActTau, ActWithdrawClaim,
@@ -1190,15 +1212,21 @@ class Engine:
             frontier = nxt
         raise CheckerError("no walk reaches the stop edge")
 
-    def _trace(self, succ, goal: int,
-               cycle: Sequence[Tuple[int, int, int]] = ()) -> Trace:
+    def _trace(self, succ, goal: int, cycle: Sequence[Tuple[int, int, int]] = (),
+               sid: Optional[Callable[[int], int]] = None) -> Trace:
         """The first walk from the start to goal over succ, then cycle (a
-        closed walk from goal) when one is given."""
+        closed walk from goal) when one is given.  The walks go over sids,
+        or, when sid is given, over state numbers, the start as 0, that sid
+        maps to sids for the steps of the trace."""
         init = self._initial_sid
-        stem = [] if goal == init else self._bfs_path(
-            init, succ, lambda code, s2: s2 == goal)
-        steps = tuple((self._step_of(sid, code), self._to_state(s2))
-                      for sid, code, s2 in stem + list(cycle))
+        start = init if sid is None else 0
+        stem = [] if goal == start else self._bfs_path(
+            start, succ, lambda code, s2: s2 == goal)
+        walk = stem + list(cycle)
+        if sid is not None:
+            walk = [(sid(k), code, sid(k2)) for k, code, k2 in walk]
+        steps = tuple((self._step_of(s, code), self._to_state(s2))
+                      for s, code, s2 in walk)
         return Trace(initial=self._to_state(init), steps=steps,
                      cycle_start=len(stem) if cycle else None)
 
@@ -1210,18 +1238,24 @@ class Engine:
         return self._af(lambda sid: good(self._to_state(sid)))
 
     def _af(self, good) -> Verdict:
-        verdict, witness, _ = self._af_search(good)
+        # [:2]: a name bound to the region and masks would keep the masks
+        # alive while the witness is built
+        verdict, witness = self._af_search(good)[:2]
         return verdict if witness is None else replace(verdict, witness=witness())
 
-    def _af_search(self, good) -> Tuple[Verdict, Optional[Callable[[], Trace]], _Part]:
+    def _af_search(self, good) -> Tuple[Verdict, Optional[Callable[[], Trace]], _Part,
+                                         Optional[Tuple[_Region, List[int]]]]:
         """The search of _af: its verdict without the witness, a function
-        that builds the witness (None when there is none), and what the
-        region says of a holding product answer (_by_group): RULES_OUT when
-        its build stopped early, ZERO_DELAY when it has a zero-delay cycle,
-        SETTLES when it starves a controller in every SCC with an internal
-        edge (one enabled in each of its states that fires on none of its
-        internal edges), and OPEN otherwise.  The region (_region) is every
-        state reachable without passing a good state, with all its edges.
+        that builds the witness (None when there is none), what the region
+        says of a holding product answer (_by_group), and for an OPEN part
+        the complete region with its enabled masks, from which _by_group
+        can search the road's (_Product).  The part is RULES_OUT when the
+        build stopped early, ZERO_DELAY when the region has a zero-delay
+        cycle, SETTLES when it starves a controller in every SCC with an
+        internal edge (one enabled in each of its states that fires on
+        none of its internal edges), and OPEN otherwise.  The region
+        (_region) is every state reachable without passing a good state,
+        with all its edges.
 
         The fire-only SCC pass is skipped when the controller's own fires
         cannot cycle (_CarTable.fires_acyclic, one flag for every car): a
@@ -1229,37 +1263,52 @@ class Engine:
         some car's own fires, since the collision observer only ever moves
         from 0 to 1 and the progress observers move only with their car."""
         if good(self._initial_sid):
-            return Verdict("holds", states=1), None, _Part.SETTLES
+            return Verdict("holds", states=1), None, _Part.SETTLES, None
         region, enabled, stop = self._region(good, False)
         if stop is not None:
             if stop.outcome == "inconclusive":
-                return stop, None, _Part.RULES_OUT
-            # every state shallower than the stuck one is expanded: succ
-            # holds the search's walk to it
-            stuck = region.order[len(enabled)]
-            return stop, lambda: self._trace(region.succ, stuck), _Part.RULES_OUT
+                return stop, None, _Part.RULES_OUT, None
+            # every state shallower than the stuck one is expanded: the
+            # region's edges hold the search's walk to it
+            stuck = len(enabled)
+            return (stop, lambda: self._trace(region.edges, stuck, (), region.sid),
+                    _Part.RULES_OUT, None)
+        passes = [(False, region.succ(False))]
+        if not self._table.fires_acyclic:
+            passes.insert(0, (True, region.succ(True)))
+        verdict, witness, part = self._scan(region, enabled.__getitem__, passes)
+        return verdict, witness, part, (region, enabled) if part is _Part.OPEN else None
 
-        # zero-delay cycles first (fire edges only), then fair ones: SCCs
-        # where every controller ever enabled also fires
-        states = len(region.order)
+    def _scan(self, graph: Union[_Region, "_Product"], enabled: Callable[[int], int],
+              passes: Sequence[Tuple[bool, Callable[[int], Iterable[int]]]]
+              ) -> Tuple[Verdict, Optional[Callable[[], Trace]], _Part]:
+        """The SCC passes of _af_search over a complete region or a
+        _Product, in order: zero-delay cycles (fire edges only) for a pass
+        (True, succ), fair ones for (False, succ), where succ gives the
+        pass's edges to _tarjan.  A fair SCC is one where every controller
+        enabled in some state (enabled(k)) also fires on an internal edge.
+        Returns the verdict, its witness function and the part, as
+        _af_search does."""
+        states = graph.n
         member = bytearray(states)      # the SCC at hand (_cycles)
         loose = False       # some SCC with an internal edge starves no controller
-        passes = (False,) if self._table.fires_acyclic else (True, False)
-        for fire_only in passes:
-            for scc, fired in _cycles(region, fire_only, member, self._ncars):
+        for fire_only, succ in passes:
+            for scc, fired in _cycles(states, succ, graph.edges, member, self._ncars):
                 if fire_only:
                     needed, note, part = fired, _ZERO_DELAY_NOTE, _Part.ZERO_DELAY
                 else:
                     needed, always = 0, -1
                     note, part = "fair cycle avoids the goal", _Part.OPEN
                     for k in scc:
-                        needed |= enabled[k]
-                        always &= enabled[k]
+                        mask = enabled(k)
+                        needed |= mask
+                        always &= mask
                     loose = loose or not (always & ~fired)
                 if fire_only or not needed & ~fired:
                     return (Verdict("fails", states=states, note=note),
-                            lambda: self._lasso(region, region.succ, scc, member,
-                                                needed, fire_only), part)
+                            lambda: self._trace(graph.edges, scc[0], self._lasso(
+                                graph.edges, scc, member, needed, fire_only), graph.sid),
+                            part)
         return Verdict("holds", states=states), None, _Part.OPEN if loose else _Part.SETTLES
 
     def _region(self, good, fire_only: bool) -> Tuple[_Region, List[int], Optional[Verdict]]:
@@ -1317,33 +1366,38 @@ class Engine:
         states dropped, which are the edges the whole region keeps."""
         region, _, stop = self._region(good, True)
         if stop is None:
-            member = bytearray(len(region.order))
-            for scc, fired in _cycles(region, True, member, self._ncars):
+            member = bytearray(region.n)
+            # the region holds fire edges alone
+            for scc, fired in _cycles(region.n, region.succ(False), region.edges,
+                                      member, self._ncars):
                 stem = lambda sid: [(code, s2) for code, s2 in self._expand(sid)[0]
                                     if not good(s2)]
-                return self._lasso(region, stem, scc, member, fired, True), len(region.order)
-        return None, len(region.order)
+                order = region.order
+                cycle = [(order[k], code, order[k2]) for k, code, k2 in
+                         self._lasso(region.edges, scc, member, fired, True)]
+                return self._trace(stem, order[scc[0]], cycle), region.n
+        return None, region.n
 
-    def _lasso(self, region: _Region, stem, scc: List[int], member: bytearray,
-               needed: int, fire_only: bool) -> Trace:
-        """The witness for a cycle in scc, the component of region that
-        _cycles just yielded (member marks its states): the first walk over
-        stem from the start to scc's first state, then a closed walk from
-        there over the region's edges inside scc that fires every
-        controller in needed at least once, with no delays when fire_only."""
-        def inside(sid: int) -> List[Tuple[int, int]]:
-            return [(code, s2) for code, s2 in region.succ(sid)
-                    if member[region.index[s2]] and (code != -1 or not fire_only)]
+    def _lasso(self, edges, scc: List[int], member: bytearray, needed: int,
+               fire_only: bool) -> List[Tuple[int, int, int]]:
+        """The cycle of a witness in scc, the component that _cycles just
+        yielded (member marks its states): a closed walk from scc[0] over
+        the edges(k) inside scc, as (k, code, k2) triples of state numbers,
+        that fires every controller in needed at least once, with no delays
+        when fire_only."""
+        def inside(k: int) -> List[Tuple[int, int]]:
+            return [(code, k2) for code, k2 in edges(k)
+                    if member[k2] and (code != -1 or not fire_only)]
         walk: List[Tuple[int, int, int]] = []
-        cur = start = region.order[scc[0]]
+        cur = start = scc[0]
         for i in range(self._ncars):
             if needed >> i & 1:
                 # ends with a fire of controller i (the delay's -1 >> 8 is -1)
-                walk += self._bfs_path(cur, inside, lambda code, s2: code >> 8 == i)
+                walk += self._bfs_path(cur, inside, lambda code, k2: code >> 8 == i)
                 cur = walk[-1][2]
         if cur != start or not walk:
-            walk += self._bfs_path(cur, inside, lambda code, s2: s2 == start)
-        return self._trace(stem, start, walk)
+            walk += self._bfs_path(cur, inside, lambda code, k2: k2 == start)
+        return walk
 
     # -- query dispatch ---------------------------------------------------------
 
@@ -1392,22 +1446,25 @@ class Engine:
 
         The product is the answer when no group rules it out and some
         group settles it (_group_part), or, for liveness, when every group
-        region is complete and some group's has a zero-delay cycle.  That
-        needs no test of the start: every start is its own delay successor
-        (module docstring)."""
+        region is complete and some group's has a zero-delay cycle.  When
+        every group region comes back OPEN, the road's region is their
+        product, searched as a _Product.  That needs no test of the start:
+        every start is its own delay successor (module docstring)."""
         liveness = isinstance(query, (LivenessAny, LivenessCar))
         watched = self._liveness_targets(query) if liveness else ()
         groups = self._pair_graph().groups
         explored = 0
         if len(groups) > 1 and not (liveness and self._coll_obs is not None):
-            product, parts = 1, set()
+            product, parts, factors = 1, set(), []
             for group in groups:
-                verdict, part = self._restrict(group)._group_part(query, watched)
+                sub = self._restrict(group)
+                verdict, part, region = sub._group_part(query, watched)
                 explored += verdict.explored
                 if part is _Part.RULES_OUT:
                     break
                 product *= verdict.states
                 parts.add(part)
+                factors.append((group, sub, region))
             else:
                 cycle = _Part.ZERO_DELAY in parts
                 if (cycle or _Part.SETTLES in parts) and product > self.budget:
@@ -1421,21 +1478,32 @@ class Engine:
                                        note=_ZERO_DELAY_NOTE, explored=explored)
                 elif _Part.SETTLES in parts:
                     return Verdict("holds", states=product, explored=explored)
+                elif product <= self.budget:
+                    # every part is OPEN, which only liveness gives; no group
+                    # region has a cycle of fires, so neither has the product
+                    graph = _Product(self, factors)
+                    verdict, witness, _ = self._scan(graph, graph.enabled,
+                                                     ((False, graph.targets),))
+                    return replace(verdict, explored=explored + product,
+                                   witness=None if witness is None else witness())
         whole = self._whole(query)
         return replace(whole, explored=explored + whole.explored)
 
-    def _group_part(self, query: Query, watched: Sequence[str]) -> Tuple[Verdict, _Part]:
-        """A group engine's search for _by_group, and what it says of the
-        product answer (_Part).  An AG search settles it when it holds and
-        rules it out otherwise.  A liveness region avoids the goal of the
-        group's cars in watched (a group without any keeps every reachable
-        state); its part is _af_search's.  No witness is built: the road's
-        witness comes from the whole-road engine."""
+    def _group_part(self, query: Query, watched: Sequence[str]
+                    ) -> Tuple[Verdict, _Part, Optional[Tuple[_Region, List[int]]]]:
+        """A group engine's search for _by_group, what it says of the
+        product answer (_Part), and for an OPEN part the group's complete
+        region with its enabled masks (_af_search).  An AG search settles
+        it when it holds and rules it out otherwise.  A liveness region
+        avoids the goal of the group's cars in watched (a group without any
+        keeps every reachable state); its part is _af_search's.  No witness
+        is built: the road's witness comes from the whole-road engine or
+        the product of the group regions."""
         if isinstance(query, (LivenessAny, LivenessCar)):
-            verdict, _, part = self._af_search(self._goal(watched))
-            return verdict, part
+            verdict, _, part, region = self._af_search(self._goal(watched))
+            return verdict, part, region
         verdict, _ = self._ag_search(*self._bad(query))
-        return verdict, _Part.SETTLES if verdict.holds else _Part.RULES_OUT
+        return verdict, _Part.SETTLES if verdict.holds else _Part.RULES_OUT, None
 
     def _liveness_targets(self, query) -> Tuple[str, ...]:
         wanted = _watched_cars(query, self.car_names)
@@ -1452,6 +1520,8 @@ class Engine:
 
     def _deadlock_from(self, sid: int, expansion) -> bool:
         succs, _, any_fire = expansion
+        if any_fire:
+            return False
         seen = {sid}
         while succs and not any_fire:
             # only the delay is left; follow delays until a fire shows up
@@ -1512,95 +1582,206 @@ class _Region(NamedTuple):
     targets: array
     codes: array
 
-    def succ(self, sid: int) -> List[Tuple[int, int]]:
-        """The edges (code, sid) of state sid, looked up by sid."""
-        k = self.index[sid]
+    @property
+    def n(self) -> int:
+        return len(self.order)
+
+    def sid(self, k: int) -> int:
+        return self.order[k]
+
+    def edges(self, k: int) -> List[Tuple[int, int]]:
+        """The edges (code, state number) of state k."""
         if k + 1 >= len(self.offsets):
             return []
-        return [(self.codes[e], self.order[self.targets[e]])
-                for e in range(self.offsets[k], self.offsets[k + 1])]
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return list(zip(self.codes[a:b], self.targets[a:b]))
+
+    def succ(self, fire_only: bool) -> Callable[[int], array]:
+        """_tarjan's successor function over this complete region: the
+        targets of each state's edges, of its fire edges alone when
+        fire_only (a delay is a state's last edge)."""
+        offsets, targets, codes = self.offsets, self.targets, self.codes
+        if not fire_only:
+            return lambda k: targets[offsets[k]:offsets[k + 1]]
+
+        def fires(k: int) -> array:
+            a, b = offsets[k], offsets[k + 1]
+            return targets[a:b - 1] if b > a and codes[b - 1] == -1 else targets[a:b]
+        return fires
 
 
-def _tarjan(offsets: array, targets: array, codes: array,
-            fire_only: bool) -> Iterator[List[int]]:
-    """Strongly connected components of a CSR graph over states
-    0..len(offsets) - 2 (the CSR layout of _Region), over its fire edges alone
-    (code != -1) when fire_only.
+class _Product:
+    """The region of a liveness query on a road whose interaction groups'
+    regions all came back OPEN (Engine._by_group), searched without being
+    built: the product of the group regions (module docstring).
+
+    State p numbers one state per group region by mixed radix, the first
+    group's digit the most significant, so the start is 0.  Its edges are
+    every group's fire edges, merged in road car order and then slot,
+    then one delay edge when every group's state keeps its own; its
+    enabled mask is the union of the group masks.  These are the edges
+    and masks of the whole road's region, in _expand order.
+
+    Per group, _digits holds (mult, size, fires, deltas, delays, masks,
+    sids), each list indexed by the group's state number k: its fire edges
+    as (road code, number delta) pairs, their deltas alone, its delay
+    edge's delta (None without one), its enabled mask in road car bits,
+    and its part of the road's sid."""
+
+    def __init__(self, road: "Engine",
+                 factors: Sequence[Tuple[Tuple[int, ...], "Engine",
+                                         Tuple[_Region, List[int]]]]):
+        """factors: per interaction group, in group order, its cars (road
+        indices), its engine, and its region with the enabled masks
+        (_af_search)."""
+        digits = []
+        mult = 1
+        for cars, sub, (region, enabled) in reversed(factors):
+            places = [road._mults[i] for i in cars] + [
+                road._mults[road._live_digit0 + road._live_index[w]]
+                for w in sub._live_cars]
+            fires, delays, masks, sids = [], [], [], []
+            for k in range(region.n):
+                out, delay = [], None
+                for code, k2 in region.edges(k):
+                    if code == -1:
+                        delay = (k2 - k) * mult
+                    else:
+                        out.append(((cars[code >> 8] << 8) | (code & 0xFF), (k2 - k) * mult))
+                fires.append(tuple(out))
+                delays.append(delay)
+                masks.append(sum(1 << i for j, i in enumerate(cars) if enabled[k] >> j & 1))
+                sids.append(sum(d * m for d, m in zip(sub._unpack(region.order[k]), places)))
+            deltas = [tuple(d for _, d in out) for out in fires]
+            digits.append((mult, region.n, fires, deltas, delays, masks, sids))
+            mult *= region.n
+        self.n = mult
+        self._digits = digits[::-1]
+        cars = [c for c, _, _ in factors]
+        # groups come in the order of their first cars; their fires need a
+        # merge only when one group's cars run past the next group's first
+        self._merge = any(max(a) > min(b) for a, b in zip(cars, cars[1:]))
+
+    def edges(self, p: int) -> List[Tuple[int, int]]:
+        """The edges (code, state number) of state p, in _expand order."""
+        moves: List[Tuple[int, int]] = []     # (code, number delta)
+        delay: Optional[int] = 0
+        for mult, size, fires, _, delays, _, _ in self._digits:
+            k = p // mult % size
+            moves += fires[k]
+            if delay is not None:
+                d = delays[k]
+                delay = None if d is None else delay + d
+        if self._merge:
+            moves.sort()
+        out = [(code, p + d) for code, d in moves]
+        if delay is not None:
+            out.append((-1, p + delay))
+        return out
+
+    def targets(self, p: int) -> List[int]:
+        """The targets of edges(p), in its order: _tarjan's successors."""
+        if self._merge:
+            return [p2 for _, p2 in self.edges(p)]
+        out: List[int] = []
+        delay: Optional[int] = 0
+        for mult, size, _, deltas, delays, _, _ in self._digits:
+            k = p // mult % size
+            out += deltas[k]
+            if delay is not None:
+                d = delays[k]
+                delay = None if d is None else delay + d
+        if delay is not None:
+            out.append(delay)
+        return [p + d for d in out]
+
+    def enabled(self, p: int) -> int:
+        mask = 0
+        for mult, size, _, _, _, masks, _ in self._digits:
+            mask |= masks[p // mult % size]
+        return mask
+
+    def sid(self, p: int) -> int:
+        return sum(sids[p // mult % size] for mult, size, _, _, _, _, sids in self._digits)
+
+
+def _tarjan(n: int, succ: Callable[[int], Iterable[int]]) -> Iterator[List[int]]:
+    """The strongly connected components with an internal edge of the graph
+    over states 0..n - 1 whose edges leave state k for the states succ(k).
 
     Iterative Tarjan: roots are taken in state order and each state's
-    edges in CSR order, so the components come out in one deterministic
-    order, and in reverse topological order: when an edge joins two
-    components, its target's is yielded first.  Each component lists its
-    states as they leave the stack, its root last."""
-    n = len(offsets) - 1
+    edges in succ's order, so the components come out in one deterministic
+    order, and in reverse topological order: when a path joins two of
+    them, its end's is yielded first.  Each component lists its states as
+    they leave the stack, its root last.  A component of one state is
+    yielded only when it has an edge to itself.  A low-link is kept only
+    while its state is on the depth-first path."""
     index = array("i", [-1]) * n    # discovery number; n once yielded
-    low = array("i", [0]) * n
+    looped = bytearray(n)           # 1 for a state with an edge to itself
     stack = array("i")              # Tarjan's stack
-    path = array("i")               # the depth-first path, and for each of
-    resume = array("q")             # its states the next edge to look at
+    path = []   # the path above v: (state, its edges not looked at yet, low-link)
     count = 0
     for root in range(n):
         if index[root] >= 0:
             continue
-        index[root] = low[root] = count
+        v, rest, low = root, iter(succ(root)), count
+        index[root] = count
         count += 1
         stack.append(root)
-        path.append(root)
-        resume.append(offsets[root])
-        while path:
-            v = path[-1]
-            e, end = resume[-1], offsets[v + 1]
-            while e < end:
-                w = targets[e]
-                e += 1
-                if fire_only and codes[e - 1] == -1:
-                    continue
-                if index[w] < 0:
+        while True:
+            for w in rest:
+                iw = index[w]
+                if iw < 0:
                     break
-                if index[w] < low[v]:
-                    low[v] = index[w]
+                if iw < low:
+                    low = iw
+                elif w == v:
+                    looped[v] = 1
             else:
-                path.pop()
-                resume.pop()
-                if path and low[v] < low[path[-1]]:
-                    low[path[-1]] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
-                        comp.append(stack.pop())
-                        # off the stack: an index above all others never lowers low
-                        index[comp[-1]] = n
-                    yield comp
+                if low == index[v]:
+                    # off the stack: an index above all others never lowers low
+                    if stack[-1] == v:
+                        stack.pop()
+                        index[v] = n
+                        if looped[v]:
+                            yield [v]
+                    else:
+                        comp = []
+                        while not comp or comp[-1] != v:
+                            comp.append(stack.pop())
+                            index[comp[-1]] = n
+                        yield comp
+                if not path:
+                    break
+                inner = low
+                v, rest, low = path.pop()
+                if inner < low:
+                    low = inner
                 continue
-            resume[-1] = e
-            index[w] = low[w] = count
+            path.append((v, rest, low))
+            v, rest, low = w, iter(succ(w)), count
+            index[w] = count
             count += 1
             stack.append(w)
-            path.append(w)
-            resume.append(offsets[w])
 
 
-def _cycles(region: _Region, fire_only: bool, member: bytearray,
+def _cycles(n: int, succ: Callable[[int], Iterable[int]],
+            edges: Callable[[int], List[Tuple[int, int]]], member: bytearray,
             ncars: int) -> Iterator[Tuple[List[int], int]]:
-    """The components of a complete region that have an internal edge (a
-    fire edge when fire_only), in _tarjan's order, each with the mask of
-    the controllers (codes below ncars << 8) that fire on an internal
-    edge.  member[k] is 1 for the states of the component just yielded,
-    and 0 for every other state, until the generator resumes."""
-    offsets, targets, codes = region.offsets, region.targets, region.codes
-    for scc in _tarjan(offsets, targets, codes, fire_only):
+    """_tarjan's components over succ, in its order, each with the mask
+    of the controllers (codes below ncars << 8) that fire on an internal
+    edge of edges(k), which lists state k's edges as (code, state) pairs.
+    member[k] is 1 for the states of the component just yielded, and 0
+    for every other state, until the generator resumes."""
+    for scc in _tarjan(n, succ):
         for k in scc:
             member[k] = 1
-        internal, fired = False, 0
+        fired = 0
         for k in scc:
-            for e in range(offsets[k], offsets[k + 1]):
-                code = codes[e]
-                if member[targets[e]] and (code != -1 or not fire_only):
-                    internal = True
-                    if code != -1 and (code >> 8) < ncars:
-                        fired |= 1 << (code >> 8)
-        if internal:
-            yield scc, fired
+            for code, k2 in edges(k):
+                if member[k2] and code != -1 and (code >> 8) < ncars:
+                    fired |= 1 << (code >> 8)
+        yield scc, fired
         for k in scc:
             member[k] = 0
 

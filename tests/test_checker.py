@@ -413,35 +413,47 @@ def test_witnesses_are_first_breadth_first_walks():
 
 @st.composite
 def _csr_graphs(draw):
-    """A random region graph in the CSR form of checker._Region: each
-    state's edges as (target, code) with code -1 for a delay."""
+    """A random region in the CSR form of checker._Region: each state's
+    fire edges as (target, code), then at most one delay edge (code -1),
+    last, as _expand and _region list them."""
     n = draw(st.integers(1, 12))
-    code = st.sampled_from([-1, -1, 0, 1, 1 << 8, (1 << 8) | 2, 2 << 8])
-    adj = draw(st.lists(st.lists(st.tuples(st.integers(0, n - 1), code), max_size=4),
-                        min_size=n, max_size=n))
+    code = st.sampled_from([0, 1, 1 << 8, (1 << 8) | 2, 2 << 8])
+    adj = []
+    for _ in range(n):
+        out = draw(st.lists(st.tuples(st.integers(0, n - 1), code), max_size=4))
+        if draw(st.booleans()):
+            out.append((draw(st.integers(0, n - 1)), -1))
+        adj.append(out)
     offsets, targets, codes = array("q", [0]), array("i"), array("i")
     for out in adj:
         for w, c in out:
             targets.append(w)
             codes.append(c)
         offsets.append(len(targets))
-    return adj, offsets, targets, codes
+    return adj, checker._Region({}, list(range(n)), offsets, targets, codes)
 
 
 @given(_csr_graphs(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_tarjan_matches_networkx(graph, fire_only):
-    adj, offsets, targets, codes = graph
+    # the components with an internal edge (fire edges alone when
+    # fire_only), over the region's successor function
+    adj, region = graph
     g = nx.DiGraph()
     g.add_nodes_from(range(len(adj)))
     g.add_edges_from((v, w) for v, out in enumerate(adj) for w, c in out
                      if c != -1 or not fire_only)
-    sccs = list(checker._tarjan(offsets, targets, codes, fire_only))
-    assert sorted(map(sorted, sccs)) == sorted(map(sorted, nx.strongly_connected_components(g)))
-    # reverse topological order: an edge's target component comes out first
+    sccs = list(checker._tarjan(region.n, region.succ(fire_only)))
+    cyclic = [comp for comp in nx.strongly_connected_components(g)
+              if len(comp) > 1 or g.has_edge(*2 * tuple(comp))]
+    assert sorted(map(sorted, sccs)) == sorted(map(sorted, cyclic))
+    # reverse topological order: when a path joins two components, its
+    # end's comes out first
     yielded = {v: k for k, comp in enumerate(sccs) for v in comp}
-    for v, w in g.edges:
-        assert yielded[w] <= yielded[v], (v, w)
+    for v in yielded:
+        for w in nx.descendants(g, v):
+            if w in yielded:
+                assert yielded[w] <= yielded[v], (v, w)
 
 
 def test_fire_graph_acyclicity_matches_networkx():
@@ -490,10 +502,9 @@ def test_acyclic_fire_graphs_leave_no_zero_delay_cycle(eng):
             targets.append(index[s2])
             codes.append(code)
         offsets.append(len(targets))
-    for scc in checker._tarjan(offsets, targets, codes, True):
-        members = set(scc)
-        assert not any(targets[e] in members and codes[e] != -1
-                       for k in scc for e in range(offsets[k], offsets[k + 1])), scc
+    fires = lambda k: [targets[e] for e in range(offsets[k], offsets[k + 1])
+                       if codes[e] != -1]
+    assert list(checker._tarjan(len(order), fires)) == []
 
 
 @given(_small_roads(), st.booleans())
@@ -801,10 +812,16 @@ def _group_engine(lanes, cars, query, **kwargs):
 
 @pytest.mark.parametrize("guard_mode", ["interval", "mlsl"])
 def test_group_decomposition_matches_monolithic_search(guard_mode, monkeypatch):
-    whole_road = []
-    whole = Engine._whole
+    # every answer is the whole-road search's; the runs cover answers from
+    # the group searches alone and from the whole-road search, for AG and
+    # for liveness, and liveness answers from the product of the group
+    # regions.  A budget of 30 sends some of each kind to the whole road
+    how = []
+    whole, product = Engine._whole, checker._Product
     monkeypatch.setattr(Engine, "_whole",
-                        lambda self, query: whole_road.append(self) or whole(self, query))
+                        lambda self, query: how.append("whole") or whole(self, query))
+    monkeypatch.setattr(checker, "_Product",
+                        lambda *args: how.append("product") or product(*args))
     rng = random.Random(31)
     seen = set()
     for _ in range(8):
@@ -812,16 +829,18 @@ def test_group_decomposition_matches_monolithic_search(guard_mode, monkeypatch):
         for variant in ("original", "original-plus-tw", "live"):
             for query in (SafetyNoCollision(), NoDeadlock(), LivenessAny(),
                           LivenessCar(cars[0][0])):
-                eng = _group_engine(lanes, cars, query, variant=variant,
-                                    guard_mode=guard_mode)
-                whole_road.clear()
-                got = eng.run_query(query)
-                decomposed = eng not in whole_road
-                assert len(eng.interaction_groups()) == ngroups
-                _same_answer(got, eng._whole(query))
-                seen.add((isinstance(query, (LivenessAny, LivenessCar)), decomposed))
-    # decomposed and fallback answers, for AG and for liveness
-    assert len(seen) == 4
+                for budget in (None, 30):
+                    eng = _group_engine(lanes, cars, query, variant=variant,
+                                        guard_mode=guard_mode, budget=budget)
+                    how.clear()
+                    got = eng.run_query(query)
+                    assert len(how) <= 1
+                    assert len(eng.interaction_groups()) == ngroups
+                    _same_answer(got, whole(eng, query))
+                    seen.add((isinstance(query, (LivenessAny, LivenessCar)),
+                              how[0] if how else "groups"))
+    assert seen == {(False, "groups"), (False, "whole"),
+                    (True, "groups"), (True, "product"), (True, "whole")}
 
 
 def test_group_runs_share_the_parent_tables(monkeypatch):
@@ -884,6 +903,16 @@ def test_group_product_against_budget():
         v = eng.run_query(LivenessCar("A"))
         _same_answer(v, eng._whole(LivenessCar("A")))
         assert (v.outcome, v.states, v.explored) == (outcome, min(budget, 5_928), explored)
+    # fig1 original-plus-tw liveness-car=A: regions of 172 and 58, both
+    # OPEN, so the road fails on their product, searched at a budget of
+    # exactly 9,976; below it, the whole road is searched up to the budget
+    for budget, outcome, explored in ((9_976, "fails", 9_976),
+                                      (9_975, "inconclusive", 9_975),
+                                      (5_000, "inconclusive", 5_000)):
+        eng = Engine.for_query(fig1("original-plus-tw"), LivenessCar("A"), budget=budget)
+        v = eng.run_query(LivenessCar("A"))
+        _same_answer(v, eng._whole(LivenessCar("A")))
+        assert (v.outcome, v.states, v.explored) == (outcome, budget, 172 + 58 + explored)
 
 
 def test_liveness_holds_as_a_product_of_group_regions():
@@ -906,6 +935,77 @@ def test_liveness_holds_as_a_product_of_group_regions():
     eng = Engine.for_query(fig1("original-plus-tw"), LivenessAny())
     ab = eng._restrict(eng._pair_graph().groups[0])._whole(LivenessAny())
     assert (ab.outcome, ab.note) == ("fails", "fair cycle avoids the goal")
+
+
+def _fig1_cars(variant, order):
+    sc = fig1(variant)
+    cars = {c.name: c for c in sc.cars}
+    return dataclasses.replace(sc, cars=tuple(cars[name] for name in order))
+
+
+def test_product_of_group_regions_matches_the_whole_road(monkeypatch):
+    # when every group region comes back OPEN, run_query searches their
+    # product without the whole-road engine's _expand or _whole, and gives
+    # the verdict of the group searches followed by the whole-road search,
+    # witness and explored included.  Roads: fig1; fig1 with its cars
+    # listed A, E, B, so that groups {A,B} and {E} interleave in car order;
+    # and _grouped_road roads
+    calls = []
+    expand, whole, product = Engine._expand, Engine._whole, checker._Product
+    monkeypatch.setattr(Engine, "_expand",
+                        lambda self, sid: calls.append(self) or expand(self, sid))
+    monkeypatch.setattr(Engine, "_whole",
+                        lambda self, query: calls.append("whole") or whole(self, query))
+    monkeypatch.setattr(checker, "_Product",
+                        lambda *args: calls.append("product") or product(*args))
+    engines = []
+    for variant in VARIANTS:
+        for order in ("ABE", "AEB"):
+            for query in (LivenessAny(), LivenessCar("A"), LivenessCar("B"), LivenessCar("E")):
+                engines.append((order, variant, query,
+                                Engine.for_query(_fig1_cars(variant, order), query)))
+    rng = random.Random(7)
+    for _ in range(6):
+        lanes, cars, _ = _grouped_road(rng)
+        for variant in VARIANTS:
+            for query in (LivenessAny(), LivenessCar(cars[0][0])):
+                engines.append(("grouped", variant, query,
+                                _group_engine(lanes, cars, query, variant=variant)))
+    taken = []
+    for road, variant, query, eng in engines:
+        calls.clear()
+        v = eng.run_query(query)
+        if "product" not in calls:
+            continue
+        assert eng not in calls and "whole" not in calls, (road, query)
+        taken.append((road, variant, query))
+        watched = eng._liveness_targets(query)
+        explored = sum(eng._restrict(g)._group_part(query, watched)[0].explored
+                       for g in eng._pair_graph().groups)
+        want = whole(eng, query)
+        assert v == dataclasses.replace(want, explored=explored + want.explored), (road, query)
+        if v.witness is not None:
+            replay(v.witness)
+    for order in ("ABE", "AEB"):
+        assert (order, "original-plus-tw", LivenessCar("A")) in taken
+    grouped = [t for t in taken if t[0] == "grouped"]
+    assert {variant for _, variant, _ in grouped} == set(VARIANTS), grouped
+
+
+def test_product_search_memory_per_state():
+    # fig1 original-plus-tw liveness-car=A fails on the product of its
+    # group regions (172 x 58 states) and stores no whole-road region;
+    # allocation counts do not depend on the machine's speed
+    eng = Engine.for_query(fig1("original-plus-tw"), LivenessCar("A"))
+    tracemalloc.start()
+    try:
+        v = eng.run_query(LivenessCar("A"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (v.outcome, v.states, v.explored) == ("fails", 9_976, 172 + 58 + 9_976)
+    assert v.witness is not None
+    assert peak / v.states <= 100, peak / v.states
 
 
 def test_zero_delay_failures_come_from_the_group_regions(monkeypatch):
@@ -959,8 +1059,8 @@ def test_group_control_flow_reads_no_note(monkeypatch):
     search = Engine._af_search
 
     def blank_notes(self, good):
-        verdict, witness, part = search(self, good)
-        return dataclasses.replace(verdict, note="?"), witness, part
+        verdict, *rest = search(self, good)
+        return (dataclasses.replace(verdict, note="?"), *rest)
     monkeypatch.setattr(Engine, "_af_search", blank_notes)
     v = run_query(fig1(), LivenessCar("A"))
     assert (v.outcome, v.states, v.explored, v.note) == (
@@ -975,7 +1075,7 @@ def test_group_parts():
     def parts(eng, query):
         liveness = isinstance(query, (LivenessAny, LivenessCar))
         watched = eng._liveness_targets(query) if liveness else ()
-        return [(part, v.states) for v, part in
+        return [(part, v.states) for v, part, _ in
                 (eng._restrict(g)._group_part(query, watched) for g in eng._pair_graph().groups)]
 
     unsafe, _, timelock = _failing_group_roads()
