@@ -1248,7 +1248,7 @@ class Engine:
         """The search of _af: its verdict without the witness, a function
         that builds the witness (None when there is none), what the region
         says of a holding product answer (_by_group), and for an OPEN part
-        the complete region with its enabled masks, from which _by_group
+        the complete region with its enabled masks, from which _from_groups
         can search the road's (_Product).  The part is RULES_OUT when the
         build stopped early, ZERO_DELAY when the region has a zero-delay
         cycle, SETTLES when it starves a controller in every SCC with an
@@ -1351,7 +1351,7 @@ class Engine:
     def _zero_delay_witness(self, good) -> Tuple[Optional[Trace], int]:
         """The witness _af_search builds for a zero-delay cycle, found
         without the whole region when the region has no stuck state and
-        fits the budget (see _by_group), and the number of states stored:
+        fits the budget (see _from_groups), and the number of states stored:
         None when it is not found this way or the build stopped early.
 
         It builds the fire-only region (_region): the states reachable
@@ -1442,7 +1442,24 @@ class Engine:
     def _by_group(self, query: Query) -> Verdict:
         """query one interaction group at a time when the road has more
         than one and, for liveness, no collision observer; otherwise, or
-        when the groups do not settle it, the monolithic search.
+        when the groups do not settle it, the monolithic search."""
+        liveness = isinstance(query, (LivenessAny, LivenessCar))
+        watched = self._liveness_targets(query) if liveness else ()
+        groups = self._pair_graph().groups
+        explored = 0
+        if len(groups) > 1 and not (liveness and self._coll_obs is not None):
+            verdict, explored = self._from_groups(query, watched, groups)
+            if verdict is not None:
+                return verdict
+        # the group regions are freed by now, so the whole-road search
+        # peaks no higher than without them
+        whole = self._whole(query)
+        return replace(whole, explored=explored + whole.explored)
+
+    def _from_groups(self, query: Query, watched: Sequence[str],
+                     groups: Sequence[Tuple[int, ...]]) -> Tuple[Optional[Verdict], int]:
+        """The answer of _by_group from the group searches, None when the
+        whole road must be searched, and the number of states explored.
 
         The product is the answer when no group rules it out and some
         group settles it (_group_part), or, for liveness, when every group
@@ -1450,45 +1467,56 @@ class Engine:
         every group region comes back OPEN, the road's region is their
         product, searched as a _Product.  That needs no test of the start:
         every start is its own delay successor (module docstring)."""
-        liveness = isinstance(query, (LivenessAny, LivenessCar))
-        watched = self._liveness_targets(query) if liveness else ()
-        groups = self._pair_graph().groups
-        explored = 0
-        if len(groups) > 1 and not (liveness and self._coll_obs is not None):
-            product, parts, factors = 1, set(), []
-            for group in groups:
-                sub = self._restrict(group)
-                verdict, part, region = sub._group_part(query, watched)
-                explored += verdict.explored
-                if part is _Part.RULES_OUT:
-                    break
-                product *= verdict.states
-                parts.add(part)
-                factors.append((group, sub, region))
-            else:
-                cycle = _Part.ZERO_DELAY in parts
-                if (cycle or _Part.SETTLES in parts) and product > self.budget:
-                    return Verdict("inconclusive", states=self.budget, explored=explored,
-                                   note=f"state budget {self.budget} exhausted")
-                if cycle:
-                    witness, stored = self._zero_delay_witness(self._goal(watched))
-                    explored += stored
-                    if witness is not None:
-                        return Verdict("fails", witness, states=product,
-                                       note=_ZERO_DELAY_NOTE, explored=explored)
-                elif _Part.SETTLES in parts:
-                    return Verdict("holds", states=product, explored=explored)
-                elif product <= self.budget:
-                    # every part is OPEN, which only liveness gives; no group
-                    # region has a cycle of fires, so neither has the product
-                    graph = _Product(self, factors)
-                    verdict, witness, _ = self._scan(graph, graph.enabled,
-                                                     ((False, graph.targets),))
-                    return replace(verdict, explored=explored + product,
-                                   witness=None if witness is None else witness())
-        whole = self._whole(query)
-        return replace(whole, explored=explored + whole.explored)
+        explored, product, parts, factors = 0, 1, set(), []
+        for group in groups:
+            verdict, part, factor = self._group_factor(group, query, watched)
+            explored += verdict.explored
+            if part is _Part.RULES_OUT:
+                return None, explored
+            product *= verdict.states
+            parts.add(part)
+            factors.append(factor)
+        cycle = _Part.ZERO_DELAY in parts
+        if (cycle or _Part.SETTLES in parts) and product > self.budget:
+            return Verdict("inconclusive", states=self.budget, explored=explored,
+                           note=f"state budget {self.budget} exhausted"), explored
+        if cycle:
+            witness, stored = self._zero_delay_witness(self._goal(watched))
+            explored += stored
+            if witness is not None:
+                return Verdict("fails", witness, states=product,
+                               note=_ZERO_DELAY_NOTE, explored=explored), explored
+        elif _Part.SETTLES in parts:
+            return Verdict("holds", states=product, explored=explored), explored
+        elif product <= self.budget:
+            # every part is OPEN, which only liveness gives; no group
+            # region has a cycle of fires, so neither has the product
+            graph = _Product(factors)
+            verdict, witness, _ = self._scan(graph, graph.enabled, ((False, graph.targets),))
+            explored += product
+            return replace(verdict, explored=explored,
+                           witness=None if witness is None else witness()), explored
+        return None, explored
 
+    def _group_factor(self, group: Tuple[int, ...], query: Query, watched: Sequence[str]
+                      ) -> Tuple[Verdict, _Part, Optional[Tuple[Tuple[int, ...], _Region,
+                                                                List[int]]]]:
+        """The verdict and part of group's engine (_group_part), and for an
+        OPEN part what _Product reads of the group: its cars (road
+        indices), its region with each state's part of the road's sid in
+        place of its own sid and no index, and its enabled masks.  The
+        group's engine is not kept."""
+        sub = self._restrict(group)
+        verdict, part, found = sub._group_part(query, watched)
+        if found is None:
+            return verdict, part, None
+        region, enabled = found
+        places = [self._mults[i] for i in group] + [
+            self._mults[self._live_digit0 + self._live_index[w]] for w in sub._live_cars]
+        sids = [sum(d * m for d, m in zip(sub._unpack(sid), places)) for sid in region.order]
+        return verdict, part, (group, region._replace(index={}, order=sids), enabled)
+
+    @_drops_rows
     def _group_part(self, query: Query, watched: Sequence[str]
                     ) -> Tuple[Verdict, _Part, Optional[Tuple[_Region, List[int]]]]:
         """A group engine's search for _by_group, what it says of the
@@ -1622,25 +1650,20 @@ class _Product:
     enabled mask is the union of the group masks.  These are the edges
     and masks of the whole road's region, in _expand order.
 
-    Per group, _digits holds (mult, size, fires, deltas, delays, masks,
-    sids), each list indexed by the group's state number k: its fire edges
-    as (road code, number delta) pairs, their deltas alone, its delay
-    edge's delta (None without one), its enabled mask in road car bits,
-    and its part of the road's sid."""
+    Per group, _digits holds (mult, size, fires, delays, masks, sids),
+    each list indexed by the group's state number k: its fire edges as
+    (road code, number delta) pairs, its delay edge's delta (None without
+    one), its enabled mask in road car bits, and its part of the road's
+    sid."""
 
-    def __init__(self, road: "Engine",
-                 factors: Sequence[Tuple[Tuple[int, ...], "Engine",
-                                         Tuple[_Region, List[int]]]]):
+    def __init__(self, factors: Sequence[Tuple[Tuple[int, ...], _Region, List[int]]]):
         """factors: per interaction group, in group order, its cars (road
-        indices), its engine, and its region with the enabled masks
-        (_af_search)."""
+        indices), its region holding each state's part of the road's sid
+        as its order, and its enabled masks (Engine._group_factor)."""
         digits = []
         mult = 1
-        for cars, sub, (region, enabled) in reversed(factors):
-            places = [road._mults[i] for i in cars] + [
-                road._mults[road._live_digit0 + road._live_index[w]]
-                for w in sub._live_cars]
-            fires, delays, masks, sids = [], [], [], []
+        for cars, region, enabled in reversed(factors):
+            fires, delays, masks = [], [], []
             for k in range(region.n):
                 out, delay = [], None
                 for code, k2 in region.edges(k):
@@ -1651,9 +1674,7 @@ class _Product:
                 fires.append(tuple(out))
                 delays.append(delay)
                 masks.append(sum(1 << i for j, i in enumerate(cars) if enabled[k] >> j & 1))
-                sids.append(sum(d * m for d, m in zip(sub._unpack(region.order[k]), places)))
-            deltas = [tuple(d for _, d in out) for out in fires]
-            digits.append((mult, region.n, fires, deltas, delays, masks, sids))
+            digits.append((mult, region.n, fires, delays, masks, region.order))
             mult *= region.n
         self.n = mult
         self._digits = digits[::-1]
@@ -1666,7 +1687,7 @@ class _Product:
         """The edges (code, state number) of state p, in _expand order."""
         moves: List[Tuple[int, int]] = []     # (code, number delta)
         delay: Optional[int] = 0
-        for mult, size, fires, _, delays, _, _ in self._digits:
+        for mult, size, fires, delays, _, _ in self._digits:
             k = p // mult % size
             moves += fires[k]
             if delay is not None:
@@ -1681,28 +1702,16 @@ class _Product:
 
     def targets(self, p: int) -> List[int]:
         """The targets of edges(p), in its order: _tarjan's successors."""
-        if self._merge:
-            return [p2 for _, p2 in self.edges(p)]
-        out: List[int] = []
-        delay: Optional[int] = 0
-        for mult, size, _, deltas, delays, _, _ in self._digits:
-            k = p // mult % size
-            out += deltas[k]
-            if delay is not None:
-                d = delays[k]
-                delay = None if d is None else delay + d
-        if delay is not None:
-            out.append(delay)
-        return [p + d for d in out]
+        return [p2 for _, p2 in self.edges(p)]
 
     def enabled(self, p: int) -> int:
         mask = 0
-        for mult, size, _, _, _, masks, _ in self._digits:
+        for mult, size, _, _, masks, _ in self._digits:
             mask |= masks[p // mult % size]
         return mask
 
     def sid(self, p: int) -> int:
-        return sum(sids[p // mult % size] for mult, size, _, _, _, _, sids in self._digits)
+        return sum(sids[p // mult % size] for mult, size, _, _, _, sids in self._digits)
 
 
 def _tarjan(n: int, succ: Callable[[int], Iterable[int]]) -> Iterator[List[int]]:
@@ -1740,16 +1749,11 @@ def _tarjan(n: int, succ: Callable[[int], Iterable[int]]) -> Iterator[List[int]]
             else:
                 if low == index[v]:
                     # off the stack: an index above all others never lowers low
-                    if stack[-1] == v:
-                        stack.pop()
-                        index[v] = n
-                        if looped[v]:
-                            yield [v]
-                    else:
-                        comp = []
-                        while not comp or comp[-1] != v:
-                            comp.append(stack.pop())
-                            index[comp[-1]] = n
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        index[comp[-1]] = n
+                    if len(comp) > 1 or looped[v]:
                         yield comp
                 if not path:
                     break

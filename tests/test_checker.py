@@ -1008,6 +1008,33 @@ def test_product_search_memory_per_state():
     assert peak / v.states <= 100, peak / v.states
 
 
+def test_whole_road_search_after_open_groups_holds_no_group_region():
+    # fig1 original-plus-tw liveness-car=A at a budget of 1,000: both group
+    # regions come back OPEN, but their product (9,976) is over the budget,
+    # so the whole road is searched.  The group regions and engines are
+    # freed first, so the query peaks within a tenth of the larger of a
+    # group search and the whole-road search, each run alone
+    def traced(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    query = LivenessCar("A")
+    fresh = lambda: Engine.for_query(fig1("original-plus-tw"), query, budget=1_000)
+    fresh().run_query(query)    # module caches filled on first use are not counted
+    road = fresh()
+    v, peak = traced(lambda: road.run_query(query))
+    assert (v.outcome, v.states, v.explored) == ("inconclusive", 1_000, 172 + 58 + 1_000)
+    eng = fresh()
+    alone = [traced(lambda: eng._whole(query))[1]]
+    for group in eng._pair_graph().groups:
+        sub = eng._restrict(group)
+        alone.append(traced(lambda: sub._group_part(query, ("A",)))[1])
+    assert peak <= 1.1 * max(alone), (peak, alone)
+
+
 def test_zero_delay_failures_come_from_the_group_regions(monkeypatch):
     # original: some group region has a zero-delay cycle and none a stuck
     # state, so the product fails without the whole-road search.  explored
