@@ -132,10 +132,13 @@ searched.
 When every group region is built to the end with no stuck state and no
 zero-delay cycle, and none settles the query (each group's part is
 OPEN), the road's region is searched as the product of the group
-regions, unless that product exceeds the budget; the product is never
-stored (``_Product``).  A product state is numbered by the mixed radix
-of its group state numbers.  Its edges, in ``_expand`` order, are every
-group's fire edges, merged in road car order and then slot, then one
+regions; the product is never stored (``_Product``).  When that product
+exceeds the budget, the road is inconclusive at the budget without any
+search, whatever the parts: the whole road's region is the product and
+has no stuck state, so its search would stop at the budget as well.
+A product state is numbered by the mixed radix of its group state
+numbers.  Its edges, in ``_expand`` order, are every group's fire
+edges, merged in road car order and then slot, then one
 delay edge when every group's state keeps its own: a fire of one group
 is enabled and avoids the goal exactly when it does in the group, and
 the road's delay is enabled and avoids the goal exactly when each
@@ -662,8 +665,7 @@ class Engine:
     neighbourhood and the state is never unpacked when all rows hit.
     The memo is built on the first expansion, holds at most _ROW_LIMIT
     rows per car (later misses are computed and not stored), and is
-    dropped when run_query, check_ag or check_af returns; successors()
-    and deadlock() keep it, so a walk of single steps reuses it.
+    dropped when run_query, check_ag or check_af returns.
     """
 
     def __init__(self, lane_count: int, cars: Sequence[Tuple[str, int, int, int]],
@@ -1088,46 +1090,8 @@ class Engine:
             registers=tuple(registers),
         )
 
-    def _pack_state(self, state: SystemState) -> int:
-        digits = []
-        table = self._table
-        for name in self.car_names:
-            try:
-                loc = state.location(name)
-                x = state.clock(name)
-                cn, cl = state.lanes_of(name)
-            except KeyError:
-                raise CheckerError(f"state has no configuration of {name!r}") from None
-            li = table.loc_names.index(loc) if loc in table.loc_names else -1
-            ci = table.cfg_id.get((li, x, cn, cl))
-            if ci is None:
-                raise CheckerError(
-                    f"state of {name!r} ({loc}, x={x}, n={cn}, l={cl}) "
-                    f"is not an engine configuration"
-                )
-            digits.append(ci)
-        for obs in self._observers:
-            names = [l.name for l in obs.locations]
-            try:
-                loc = state.location(obs.name)
-            except KeyError:
-                raise CheckerError(f"state has no location of {obs.name!r}") from None
-            if loc not in names:
-                raise CheckerError(f"{obs.name!r} has no location {loc!r}")
-            digits.append(names.index(loc))
-        return self._pack_digits(digits)
-
     def initial_state(self) -> SystemState:
         return self._to_state(self._initial_sid)
-
-    def successors(self, state: SystemState) -> List[Tuple[Step, SystemState]]:
-        sid = self._pack_state(state)
-        succs, _, _ = self._expand(sid)
-        return [(self._step_of(sid, code), self._to_state(s2)) for code, s2 in succs]
-
-    def deadlock(self, state: SystemState) -> bool:
-        sid = self._pack_state(state)
-        return self._deadlock_from(sid, self._expand(sid))
 
     # -- reachability (AG) ----------------------------------------------------
 
@@ -1461,12 +1425,14 @@ class Engine:
         """The answer of _by_group from the group searches, None when the
         whole road must be searched, and the number of states explored.
 
-        The product is the answer when no group rules it out and some
-        group settles it (_group_part), or, for liveness, when every group
-        region is complete and some group's has a zero-delay cycle.  When
-        every group region comes back OPEN, the road's region is their
-        product, searched as a _Product.  That needs no test of the start:
-        every start is its own delay successor (module docstring)."""
+        When no group rules the answer out, and the product of the group
+        state counts exceeds the budget, the answer is inconclusive at the
+        budget, whatever the parts.  Otherwise the product is the answer
+        when some group settles it (_group_part), or, for liveness, when
+        some group region has a zero-delay cycle.  When every group region
+        comes back OPEN, the road's region is their product, searched as a
+        _Product.  That needs no test of the start: every start is its own
+        delay successor (module docstring)."""
         explored, product, parts, factors = 0, 1, set(), []
         for group in groups:
             verdict, part, factor = self._group_factor(group, query, watched)
@@ -1476,11 +1442,10 @@ class Engine:
             product *= verdict.states
             parts.add(part)
             factors.append(factor)
-        cycle = _Part.ZERO_DELAY in parts
-        if (cycle or _Part.SETTLES in parts) and product > self.budget:
+        if product > self.budget:
             return Verdict("inconclusive", states=self.budget, explored=explored,
                            note=f"state budget {self.budget} exhausted"), explored
-        if cycle:
+        if _Part.ZERO_DELAY in parts:
             witness, stored = self._zero_delay_witness(self._goal(watched))
             explored += stored
             if witness is not None:
@@ -1488,7 +1453,7 @@ class Engine:
                                note=_ZERO_DELAY_NOTE, explored=explored), explored
         elif _Part.SETTLES in parts:
             return Verdict("holds", states=product, explored=explored), explored
-        elif product <= self.budget:
+        else:
             # every part is OPEN, which only liveness gives; no group
             # region has a cycle of fires, so neither has the product
             graph = _Product(factors)

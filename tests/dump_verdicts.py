@@ -13,7 +13,8 @@ packed space exceeds 2^28) × 3 variants × the 4 queries × {default budget
 (1,000,000 on fourcars), budget 50} × both guard modes, plus three
 check_ag/check_af cases on fig1 under `live`: 291 in all.  Arguments, when
 given, are label prefixes: only the cases whose label starts with one of
-them run.  `--list` prints the labels.
+them run.  `--list` prints the labels.  The tests certify every witness
+of the interval-mode cases (oracles.certify).
 """
 
 import json
@@ -25,6 +26,7 @@ from typing import Callable, Iterator, List, Tuple
 from lanecheck.checker import (Engine, LivenessAny, LivenessCar, NoDeadlock,
                                SafetyNoCollision, Verdict)
 from lanecheck.scenario import load_scenario
+from oracles import Bad, Goal
 from support import FIG1_CARS, FIVE_CARS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,11 +64,18 @@ def engine(lanes: int, cars: list, variant: str, query, **kwargs) -> Engine:
                   live_observers=live, **kwargs)
 
 
-def run_query(lanes: int, cars: list, variant: str, query, **kwargs) -> Verdict:
-    return engine(lanes, cars, variant, query, **kwargs).run_query(query)
+def answer(eng: Engine, question) -> Verdict:
+    """eng's verdict on question: a query, or a Bad (check_ag) or Goal
+    (check_af) of the oracles."""
+    if isinstance(question, Bad):
+        return eng.check_ag(question.test)
+    if isinstance(question, Goal):
+        return eng.check_af(question.test)
+    return eng.run_query(question)
 
 
-def cases() -> Iterator[Tuple[str, Callable[[], Verdict]]]:
+def cases() -> Iterator[Tuple[str, Callable[[], Engine], object]]:
+    """(label, engine builder, question) of every case, in dump order."""
     for name, lanes, cars, horizon, budget in roads():
         queries = (("no-deadlock", NoDeadlock()), ("safety", SafetyNoCollision()),
                    ("liveness-any", LivenessAny()),
@@ -76,26 +85,27 @@ def cases() -> Iterator[Tuple[str, Callable[[], Verdict]]]:
                 for b in (budget, 50):
                     for mode in GUARD_MODES:
                         label = f"{name}/{variant}/{qname}/budget={b or 'default'}/{mode}"
-                        yield label, partial(run_query, lanes, cars, variant, query,
-                                             horizon=horizon, budget=b, guard_mode=mode)
-    fig1 = engine(4, FIG1, "live", LivenessCar("A"), horizon=36)
-    yield "fig1/live/check_ag(A confirming)", lambda: fig1.check_ag(
-        lambda s: s.location("A") == "confirming")
-    yield "fig1/live/check_af(A succeeds)", lambda: fig1.check_af(
-        lambda s: s.location("observer(A)") == "success")
-    yield "fig1/live/check_af(false)", lambda: fig1.check_af(lambda s: False)
+                        yield label, partial(engine, lanes, cars, variant, query,
+                                             horizon=horizon, budget=b, guard_mode=mode), query
+    fig1 = partial(engine, 4, FIG1, "live", LivenessCar("A"), horizon=36)
+    yield ("fig1/live/check_ag(A confirming)", fig1,
+           Bad(lambda s: s.location("A") == "confirming"))
+    yield ("fig1/live/check_af(A succeeds)", fig1,
+           Goal(lambda s: s.location("observer(A)") == "success"))
+    yield "fig1/live/check_af(false)", fig1, Goal(lambda s: False)
 
 
 def main(argv: List[str]) -> int:
     listing = "--list" in argv
     prefixes = [a for a in argv if a != "--list"]
-    for label, run in cases():
+    for label, build, question in cases():
         if prefixes and not any(label.startswith(p) for p in prefixes):
             continue
         if listing:
             print(label)
             continue
-        print(json.dumps({"case": label, **run().to_dict()}, sort_keys=True), flush=True)
+        verdict = answer(build(), question)
+        print(json.dumps({"case": label, **verdict.to_dict()}, sort_keys=True), flush=True)
     return 0
 
 

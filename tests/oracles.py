@@ -1,23 +1,32 @@
 """Slow reference checkers the engine's verdicts are compared against.
 
-FormulaSuccessors is a reference successor relation built from the
-automata and the traffic rules alone, on raw clocks and target lanes:
-guards and invariants are MLSL formulas on the full snapshot, and
-snapshots follow traffic.apply_action.  It reads only the engine's public
-settings, so it checks the engine's normalised car tables, and not just
-its search.  The rest recomputes verdicts from the engine's successor
-relation only, using plain dictionaries over rich SystemState objects and
-networkx graph algorithms: a different traversal (iterative DFS vs the
-checker's BFS), different cycle machinery (networkx SCCs vs hand-rolled
-Tarjan) and a different state representation (structured states vs
-packed integers).
+FormulaSuccessors is the definitional successor relation: it is built
+from the automata and the traffic rules alone, on raw clocks and target
+lanes, with guards and invariants as MLSL formulas on the full snapshot
+and snapshots that follow traffic.apply_action.  It reads only the
+engine's public settings.  definitional(engine) is that relation with
+each successor normalised to the engine's encoding, and every oracle
+here walks it unless it is handed another relation: explore, naive_ag,
+naive_no_deadlock, naive_af, ag_witness, af_witness and certify.  So the
+oracles share no successor code with the engine, and they check its
+normalised car tables and pair lists as well as its searches.  They use
+plain dictionaries over rich SystemState objects and networkx graph
+algorithms: a different traversal (iterative DFS vs the checker's BFS),
+different cycle machinery (networkx SCCs vs _tarjan) and a different
+state representation (structured states vs packed integers).
 ag_witness and af_witness rebuild counterexamples from their definition
-as first breadth-first walks, over engine.successors and a deque.
+as first breadth-first walks, with a deque.  certify re-derives every
+step of a verdict's witness from the definitional relation and checks
+that the witness ends as the verdict says.
+
+engine_relation(engine) is the engine's own relation, walked over its
+sids.  One test uses it: the five-car AG test, whose 8,700-state road
+the definitional relation would take about 21 s to explore.
 """
 
 import dataclasses
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 
@@ -26,14 +35,46 @@ from lanecheck.automata import (ActClaim, ActReserve, ActTau, ActWithdrawClaim,
                                 ActWithdrawReservation, ClockConstraint, LaneExists,
                                 build_controller, build_observer_collision,
                                 build_observer_live)
-from lanecheck.checker import Delay, Engine, Fire, Step, SystemState, Trace
+from lanecheck.checker import (Delay, Engine, Fire, LivenessCar, NoDeadlock,
+                               SafetyNoCollision, Step, SystemState, Trace, Verdict)
 from lanecheck.traffic import CarState, Extent, TrafficSnapshot, View
 
 Adjacency = Dict[SystemState, List[Tuple[Step, SystemState]]]
+Relation = Callable[[SystemState], List[Tuple[Step, SystemState]]]
 
 
-def explore(engine: Engine, limit: int = 200_000) -> Tuple[SystemState, Adjacency]:
-    """All reachable states with their successor lists, by DFS."""
+def definitional(engine: Engine) -> Relation:
+    """FormulaSuccessors(engine) with each successor normalised: the
+    engine's successor relation, by definition."""
+    reference = FormulaSuccessors(engine)
+    return lambda state: [(step, reference.normalise(s2)) for step, s2 in reference(state)]
+
+
+def engine_relation(engine: Engine) -> Relation:
+    """The engine's own successor relation, over the states it hands out:
+    _expand's edges from the sid each state came from, as _step_of's steps
+    and _to_state's states, each sid's made once.  No state is packed."""
+    init = engine.initial_state()
+    sids, states = {init: engine._initial_sid}, {engine._initial_sid: init}
+
+    def successors(state: SystemState) -> List[Tuple[Step, SystemState]]:
+        sid = sids[state]
+        out = []
+        for code, s2 in engine._expand(sid)[0]:
+            nxt = states.get(s2)
+            if nxt is None:
+                nxt = states[s2] = engine._to_state(s2)
+                sids[nxt] = s2
+            out.append((engine._step_of(sid, code), nxt))
+        return out
+    return successors
+
+
+def explore(engine: Engine, relation: Optional[Relation] = None,
+            limit: int = 200_000) -> Tuple[SystemState, Adjacency]:
+    """All reachable states with their successor lists, by DFS over
+    relation (definitional(engine) by default)."""
+    successors = relation or definitional(engine)
     init = engine.initial_state()
     adj: Adjacency = {}
     stack = [init]
@@ -41,7 +82,7 @@ def explore(engine: Engine, limit: int = 200_000) -> Tuple[SystemState, Adjacenc
         s = stack.pop()
         if s in adj:
             continue
-        succ = engine.successors(s)
+        succ = successors(s)
         adj[s] = succ
         if len(adj) > limit:
             raise RuntimeError(f"oracle exploration exceeded {limit} states")
@@ -66,17 +107,19 @@ def is_deadlock(adj: Adjacency, state: SystemState) -> bool:
     return True  # waiting loops forever without a fire
 
 
-def naive_ag(engine: Engine, bad: Callable[[SystemState], bool]) -> str:
-    init, adj = explore(engine)
+def naive_ag(engine: Engine, bad: Callable[[SystemState], bool],
+             relation: Optional[Relation] = None) -> str:
+    init, adj = explore(engine, relation)
     return "fails" if any(bad(s) for s in adj) else "holds"
 
 
-def naive_no_deadlock(engine: Engine) -> str:
-    init, adj = explore(engine)
+def naive_no_deadlock(engine: Engine, relation: Optional[Relation] = None) -> str:
+    init, adj = explore(engine, relation)
     return "fails" if any(is_deadlock(adj, s) for s in adj) else "holds"
 
 
-def naive_af(engine: Engine, good: Callable[[SystemState], bool]) -> str:
+def naive_af(engine: Engine, good: Callable[[SystemState], bool],
+             relation: Optional[Relation] = None) -> str:
     """AF good under the checker's path rules (stated in the
     lanecheck.checker module docstring), recomputed with networkx.
 
@@ -87,7 +130,7 @@ def naive_af(engine: Engine, good: Callable[[SystemState], bool]) -> str:
     anywhere around it actually fires (nobody is merely starved by the
     scheduler).
     """
-    init, adj = explore(engine)
+    init, adj = explore(engine, relation)
     controllers = set(engine.car_names)
 
     if good(init):
@@ -147,14 +190,14 @@ def naive_af(engine: Engine, good: Callable[[SystemState], bool]) -> str:
 
 
 class Successors(dict):
-    """engine.successors(state) per state, computed on first lookup."""
+    """relation(state) per state, computed on first lookup."""
 
-    def __init__(self, engine: Engine):
+    def __init__(self, relation: Relation):
         super().__init__()
-        self.engine = engine
+        self.relation = relation
 
     def __missing__(self, state: SystemState):
-        self[state] = succs = self.engine.successors(state)
+        self[state] = succs = self.relation(state)
         return succs
 
 
@@ -182,26 +225,29 @@ def first_walk(adj, start: SystemState, stop, keep=lambda step, s2: True):
     raise AssertionError("no walk ends in a step that satisfies stop")
 
 
-def ag_witness(engine: Engine, bad: Callable[[SystemState], bool]) -> Trace:
+def ag_witness(engine: Engine, bad: Callable[[SystemState], bool],
+               relation: Optional[Relation] = None) -> Trace:
     """An AG witness by definition: the first walk in breadth-first order
-    from the initial state that reaches a bad state (none if it is bad)."""
+    over relation (definitional(engine) by default) from the initial state
+    that reaches a bad state (none if it is bad)."""
     init = engine.initial_state()
-    steps = () if bad(init) else first_walk(Successors(engine), init,
-                                            lambda step, s2: bad(s2))
+    adj = Successors(relation or definitional(engine))
+    steps = () if bad(init) else first_walk(adj, init, lambda step, s2: bad(s2))
     return Trace(initial=init, steps=tuple(steps))
 
 
 def af_witness(engine: Engine, good: Callable[[SystemState], bool],
-               note: str, entry: Optional[SystemState]) -> Trace:
-    """An AF witness by definition, inside the region of states reachable
-    without a good one.  A stuck run is the first walk to a state with no
+               note: str, entry: Optional[SystemState],
+               relation: Optional[Relation] = None) -> Trace:
+    """An AF witness by definition, over relation (definitional(engine) by
+    default), inside the region of states reachable without a good one.  A stuck run is the first walk to a state with no
     successor.  A lasso is the first walk to entry, the state the cycle
     starts at, then the cycle: from entry, for each controller in cars
     order that it must fire, the first walk inside entry's SCC ending with
     a fire of it, then the first walk back to entry.  A zero-delay cycle
     uses fires only and must fire every controller that fires inside the
     SCC; a fair one must fire every controller enabled anywhere in it."""
-    adj = Successors(engine)
+    adj = Successors(relation or definitional(engine))
     init = engine.initial_state()
 
     def outside(step, s2):
@@ -255,6 +301,95 @@ def success_goal(cars) -> Callable[[SystemState], bool]:
         return any(state.location(n) == "success" for n in names)
 
     return good
+
+
+# --- certifying witnesses -------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Bad:
+    """The states an AG witness may end in: those test accepts, or the
+    deadlocked ones when test is None."""
+
+    test: Optional[Callable[[SystemState], bool]] = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Goal:
+    """The states a liveness witness must avoid."""
+
+    test: Callable[[SystemState], bool]
+
+
+def _target(query, names: Sequence[str]) -> Union[Bad, Goal]:
+    if isinstance(query, NoDeadlock):
+        return Bad()
+    if isinstance(query, SafetyNoCollision):
+        return Bad(collision_bad)
+    if isinstance(query, LivenessCar):
+        return Goal(success_goal([query.car]))
+    return Goal(success_goal(names if query.cars is None else query.cars))
+
+
+def counterexample_cycle(cycle: Sequence[Tuple[SystemState, Step, SystemState]],
+                         adj, controllers) -> Optional[str]:
+    """What kind of liveness counterexample the closed walk cycle, as
+    (state, step, next state) triples, is under the checker's rule
+    (lanecheck.checker module docstring): "zero-delay" when it has no
+    delay, "fair" when it has one and fires every controller that has a
+    fire in adj at one of its states (strong fairness on the cycle
+    itself), and None otherwise."""
+    if not any(isinstance(step, Delay) for _, step, _ in cycle):
+        return "zero-delay"
+    fired = {step.actor for _, step, _ in cycle if isinstance(step, Fire)}
+    enabled = {step.actor for s, _, _ in cycle for step, _ in adj[s]
+               if isinstance(step, Fire) and step.actor in controllers}
+    return "fair" if enabled <= fired else None
+
+
+def _same(a: SystemState, b: SystemState) -> bool:
+    # SystemState equality leaves the snapshot out
+    return a == b and a.snapshot == b.snapshot
+
+
+def certify(engine: Engine, verdict: Verdict, bad_or_goal) -> None:
+    """Assert that verdict's witness is a counterexample to bad_or_goal (a
+    Bad, a Goal, or the query they stand for) on engine's road, re-derived
+    from definitional(engine).
+
+    The witness starts at the start, and each of its steps, with the same
+    Step, state and snapshot, is in the definitional successor list of
+    the state before it.  An AG witness ends in a bad state: for no
+    deadlock, one with no fire now nor after any run of delays.  A
+    liveness witness holds no goal state, and either ends in a stuck
+    state, with no successor, or is a lasso whose cycle closes and is a
+    counterexample cycle of the kind its note names."""
+    if not isinstance(bad_or_goal, (Bad, Goal)):
+        bad_or_goal = _target(bad_or_goal, engine.car_names)
+    trace = verdict.witness
+    assert verdict.outcome == "fails" and trace is not None, verdict
+    adj = Successors(definitional(engine))
+    states = trace.states()
+    assert _same(trace.initial, engine.initial_state()), "the witness does not start at the start"
+    for k, (step, state) in enumerate(trace.steps):
+        assert any(s == step and _same(s2, state) for s, s2 in adj[states[k]]), \
+            f"step {k} ({step}) is no successor of the state before it"
+    end = states[-1]
+    if isinstance(bad_or_goal, Bad):
+        bad = bad_or_goal.test or (lambda s: is_deadlock(adj, s))
+        assert trace.cycle_start is None and bad(end), "the AG witness ends in no bad state"
+        return
+    assert not any(map(bad_or_goal.test, states)), "the liveness witness meets the goal"
+    start = trace.cycle_start
+    if start is None:
+        assert "stuck" in verdict.note and not adj[end], "the run ends in no stuck state"
+        return
+    assert _same(end, states[start]) and start < len(trace.steps), "the lasso does not close"
+    cycle = [(states[k], trace.steps[k][0], states[k + 1])
+             for k in range(start, len(trace.steps))]
+    kind = counterexample_cycle(cycle, adj, engine.car_names)
+    assert kind is not None and verdict.note.startswith(kind), \
+        f"the cycle is no {verdict.note.split()[0]} counterexample cycle"
 
 
 # --- reference successor relation ---------------------------------------------
