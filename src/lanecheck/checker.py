@@ -184,8 +184,9 @@ from .traffic import CarState, Claim, Extent, Reserve, Tau, TrafficSnapshot, \
 BUDGET_ENV_VAR = "LANECHECK_STATE_BUDGET"
 DEFAULT_STATE_BUDGET = 10_000_000
 
-# successor rows memoised per car and query (Engine._expand), about 240 B
-# each; misses past this many are computed and not stored
+# successor rows memoised per block of cars and per car, in each query
+# (Engine._expand), about 180 B and 300 B each; misses past this many per
+# memo are computed and not stored
 _ROW_LIMIT = 1 << 14
 # the note of a liveness failure by a cycle of fires alone
 _ZERO_DELAY_NOTE = "zero-delay cycle avoids the goal"
@@ -388,7 +389,6 @@ class Verdict:
 # the controller's configuration table
 
 _INV_NONE, _INV_CC, _INV_PCNONE = 0, 1, 2
-_REQ_NONE, _REQ_PCSOME, _REQ_PCNONE, _REQ_CLAIMFREE = 0, 1, 2, 3
 _EMIT_CODE = {None: 0, "claiming": 1, "reserving": 2, "withdrawing": 3}
 
 _INV_KIND = {None: _INV_NONE, "cc": _INV_CC, "pc-none": _INV_PCNONE}
@@ -421,9 +421,8 @@ class _FireDesc:
     slot: int
     edge_name: str
     action_str: str
-    req: int                 # spatial guard kind
-    req_lane: int            # lane for claim-free guards
-    req_bit: int             # 1 << req_lane (0 when unused)
+    guard: int               # lanes a spatial guard asks about (0: none)
+    meets: bool              # it holds when they meet the lanes held nearby
     emit: int
     target: int              # target config id
 
@@ -467,7 +466,6 @@ class _CarTable:
         self.count = count
         self.res_mask = [0] * count
         self.clm_mask = [0] * count
-        self.occ_mask = [0] * count
         self.inv = [0] * count
         self.delay_next = [-1] * count
         self.fires: List[Tuple[_FireDesc, ...]] = [()] * count
@@ -477,7 +475,6 @@ class _CarTable:
             r, c = _loc_masks(loc.name, n, l)
             self.res_mask[ci] = r
             self.clm_mask[ci] = c
-            self.occ_mask[ci] = r | c
             self.inv[ci] = _INV_KIND[None if loc.spatial_inv is None
                                      else loc.spatial_inv.kind]
 
@@ -489,7 +486,7 @@ class _CarTable:
 
             fires = []
             for edge in autom.edges_from(loc.name):
-                req, req_lane = _REQ_NONE, -1
+                guard, meets = 0, False
                 ok = True
                 for g in edge.guards:
                     if isinstance(g, ClockConstraint):
@@ -501,13 +498,11 @@ class _CarTable:
                             ok = False
                             break
                     elif isinstance(g, SpatialGuard):
-                        if g.kind == "pc-some":
-                            req = _REQ_PCSOME
-                        elif g.kind == "pc-none":
-                            req = _REQ_PCNONE
+                        # pc-some and pc-none ask about the car's claim
+                        if g.kind in ("pc-some", "pc-none"):
+                            guard, meets = c, g.kind == "pc-some"
                         elif g.kind == "claim-free":
-                            req = _REQ_CLAIMFREE
-                            req_lane = n + g.delta
+                            guard = 1 << n + g.delta
                         else:
                             raise CheckerError(f"unexpected guard {g.kind!r} on edge")
                     else:
@@ -537,9 +532,8 @@ class _CarTable:
                     slot=len(fires),
                     edge_name=edge.name,
                     action_str=str(self._concrete_action(edge.action, n, l)),
-                    req=req,
-                    req_lane=req_lane,
-                    req_bit=0 if req_lane < 0 else 1 << req_lane,
+                    guard=guard,
+                    meets=meets,
                     emit=_EMIT_CODE[edge.emit],
                     target=target,
                 ))
@@ -617,7 +611,7 @@ def _state_budget(budget: Optional[int]) -> int:
 
 
 def _drops_rows(query):
-    """Wrap an Engine query so that the successor-row memo (_rows) is
+    """Wrap an Engine query so that the successor-row memos (_rows) are
     dropped when it returns: engines kept alive between queries hold no
     rows."""
     @functools.wraps(query)
@@ -651,21 +645,33 @@ class Engine:
     interaction groups, is the only record of which cars can meet.
 
     Successor rows.  The fires of car i that are enabled in a state, and
-    the sid deltas they make, depend on three things only: i's own
-    configuration; the configurations of the cars in sees[i] (the guards
-    and i's target invariant) and seen_by[i] (their invariants against
-    i's target); and i's live observer digit, when i is watched.  So is
-    i's part of the delay step.  The packing is in cars order, so those
-    car digits lie in one slice of the sid, from the first to the last of
-    i and its neighbours in cars order; that slice, times 3 plus the live
-    digit, keys i's memo in _rows.  The slice may hold digits of cars in
-    between that i does not read, which only splits one row over several
-    keys.  _expand looks every car's row up by key and computes a missing
-    one with _car_row, so a row is computed once per distinct
-    neighbourhood and the state is never unpacked when all rows hit.
-    The memo is built on the first expansion, holds at most _ROW_LIMIT
-    rows per car (later misses are computed and not stored), and is
-    dropped when run_query, check_ag or check_af returns.
+    the sid deltas they make, depend only on i's configuration, on the
+    lanes of the cars in sees[i] (the guards and i's target invariant) and
+    of those in seen_by[i] whose invariant is cc or pc-none (theirs
+    against i's target), and on i's live observer digit when i is watched;
+    so does i's part of the delay step.  Every spatial test has the form
+    "some neighbour's mask meets X", which holds exactly when X meets the
+    union of their masks, so _car_row memoises i's row on its
+    configuration, four unions (occupied and reserved lanes of sees[i],
+    reserved lanes of its cc watchers, claimed lanes of its pc-none
+    watchers) and its live digit: on a dense chain far fewer keys than
+    there are neighbourhoods.  The packing is in cars order, so the digits
+    i's key is read from lie in one slice of the sid, from the first to
+    the last of i and its neighbours.  The cars, in cars order, form
+    blocks: a car joins the block before it when their slices nest (on a
+    four-car chain {A,B} and {C,D}; a two-car group is one block).
+    _expand looks up one row per block, keyed on the block's slice and its
+    cars' live digits: the cars' fires in car and slot order, their summed
+    delay delta (None when one is blocked), their enabled bits, and
+    whether a colliding pair whose first car is in the block shares a
+    reserved lane (the pair's second car sees or is seen by the first, so
+    its digit is in the slice).  A miss builds the row from the car rows,
+    so the state is unpacked only there.  Both memos live in _rows, built
+    on the first expansion and dropped when run_query, check_ag or
+    check_af returns; each holds at most _ROW_LIMIT rows (later misses
+    are computed and not stored), and a block whose slice spans every
+    car stores none: its key is the whole state, met again only when a
+    state is expanded again.
     """
 
     def __init__(self, lane_count: int, cars: Sequence[Tuple[str, int, int, int]],
@@ -735,8 +741,8 @@ class Engine:
         self._observers = ((coll_obs,) if coll_obs is not None else ()) + self._live_obs
         # neighbour lists and groups, decided by _pair_graph on first use
         self._pairs: Optional[_Pairs] = None
-        # per-car successor rows, built on the first expansion (_row_cache)
-        self._rows: Optional[List[Tuple[int, int, int, Dict[int, tuple]]]] = None
+        # successor-row memos, built on the first expansion (_row_cache)
+        self._rows: Optional[Tuple[list, list]] = None
 
         radices = [self._table.count] * n
         if coll_obs is not None:
@@ -751,10 +757,7 @@ class Engine:
         self._live_digit0 = n + (1 if coll_obs is not None else 0)
         self._collide_code = n << 8
 
-        # per car: its live observer's digit index, -1 when unwatched; and
         # the live observers' transitions, the same for every observer
-        self._live_k = [self._live_digit0 + self._live_index[name]
-                        if name in self._live_index else -1 for name in self.car_names]
         self._heard = _heard(self._live_obs[0]) if live else None
 
         init_digits = ([self._table.initial[c.lane] for c in cars]
@@ -904,159 +907,126 @@ class Engine:
         a fire of controller i, and ncars<<8 for the collision observer.
         succs lists the fires by car and slot, then the collision observer,
         then the delay.  enabled_mask has bit i set when controller i can
-        fire here.
-
-        Each car's fires, as (code, sid delta) pairs, and its delay delta
-        come from its memo in _rows, keyed on the slice of sid holding the
-        digits they are computed from, plus its live observer digit (see
-        the class docstring and _row_cache); a miss computes them with
-        _car_row and stores them while the memo has fewer than _ROW_LIMIT
-        rows.  The collision test reads the colliding cars' digits alone,
-        so a state whose rows all hit is never unpacked.  run_query,
-        check_ag and check_af drop the memo when they return.
+        fire here.  Each block of cars adds its row from _rows, built from
+        car rows on a miss (see the class docstring).
         """
-        rows = self._rows or self._row_cache()
-        mults = self._mults
-        limit = _ROW_LIMIT
+        blocks, _ = self._rows or self._row_cache()
         succs: List[Tuple[int, int]] = []
         enabled = 0
         ddelta: Optional[int] = 0
-        for i, (div, span, k, memo) in enumerate(rows):
-            key = (sid // div) % span
-            if k >= 0:
-                key = key * 3 + (sid // mults[k]) % 3
-            hit = memo.get(key)
-            if hit is None:
-                hit = self._car_row(i, sid)
+        collides = False
+        for top, div, live, limit, memo, cars, pairs in blocks:
+            key = sid % top // div
+            for m in live:
+                key = key * 3 + sid // m % 3
+            row = memo.get(key)
+            if row is None:
+                res, count = self._table.res_mask, self._table.count
+                fires, dd, bits, hit = (), 0, 0, False
+                for i in cars:
+                    f, d = self._car_row(i, sid)
+                    if f:
+                        fires += f
+                        bits |= 1 << i
+                    dd = None if dd is None or d is None else dd + d
+                for mi, mj in pairs:
+                    if res[sid // mi % count] & res[sid // mj % count]:
+                        hit = True
+                row = fires, dd, bits, hit
                 if len(memo) < limit:
-                    memo[key] = hit
-            fires, dd = hit
-            if fires:
-                enabled |= 1 << i
-                for code, delta in fires:
-                    succs.append((code, sid + delta))
+                    memo[key] = row
+            fires, dd, bits, hit = row
+            for code, delta in fires:
+                succs.append((code, sid + delta))
+            enabled |= bits
+            collides = collides or hit
             if ddelta is not None:
                 ddelta = None if dd is None else ddelta + dd
 
-        any_fire = bool(succs)
-        cd = self._coll_digit
-        if cd >= 0 and (sid // mults[cd]) % 2 == 0:
-            res_mask, count = self._table.res_mask, self._table.count
-            for i, j in self._pairs.collide:
-                if res_mask[(sid // mults[i]) % count] & res_mask[(sid // mults[j]) % count]:
-                    succs.append((self._collide_code, sid + mults[cd]))
-                    any_fire = True
-                    break
-
+        any_fire = enabled > 0
+        if collides:
+            m = self._mults[self._coll_digit]
+            if sid // m % 2 == 0:
+                succs.append((self._collide_code, sid + m))
+                any_fire = True
         if ddelta is not None:
             succs.append((-1, sid + ddelta))
         return succs, enabled, any_fire
 
-    def _row_cache(self) -> List[Tuple[int, int, int, Dict[int, tuple]]]:
-        """Per car i: (divisor, span, live digit index or -1, memo) such
-        that (sid // divisor) % span is the slice of sid holding the digits
-        of cars lo..hi, the first and last in cars order of i and the cars
-        in sees[i] and seen_by[i]; with i's live observer digit appended,
-        that key fixes every digit _car_row reads."""
-        pairs = self._pair_graph()
-        mults, radices = self._mults, self._radices
-        rows = []
-        for i in range(self._ncars):
+    def _row_cache(self) -> Tuple[list, list]:
+        """_rows: the blocks, and per car i (its row memo, the multipliers of
+        the digits of the cars in sees[i] and seen_by[i], of its own and of
+        its live digit, 0 when unwatched).  A block is (top, divisor, live
+        multipliers, store limit, memo, cars, multiplier pairs of the
+        colliding pairs whose first car is in it), where sid % top //
+        divisor is the slice of sid from the first to the last digit its
+        cars' rows read."""
+        pairs, mults, n = self._pair_graph(), self._mults, self._ncars
+        live = [mults[self._live_digit0 + self._live_index[w]] if w in self._live_index else 0
+                for w in self.car_names]
+        spans, cars = [], []
+        for i in range(n):
             near = (i,) + pairs.sees[i] + pairs.seen_by[i]
             lo, hi = min(near), max(near)
-            rows.append((mults[hi], mults[lo] * radices[lo] // mults[hi],
-                         self._live_k[i], {}))
-        self._rows = rows
-        return rows
+            if spans and (spans[-1][0] - lo) * (spans[-1][1] - hi) <= 0:
+                # the slices nest: i joins the block, whose slice is the larger
+                spans[-1] = min(lo, spans[-1][0]), max(hi, spans[-1][1])
+                cars[-1].append(i)
+            else:
+                spans.append((lo, hi))
+                cars.append([i])
+        self._rows = [(mults[lo] * self._table.count, mults[hi],
+                       tuple(live[i] for i in b if live[i]),
+                       0 if hi - lo == n - 1 else _ROW_LIMIT, {}, b,
+                       tuple((mults[i], mults[j]) for i, j in pairs.collide if i in b))
+                      for (lo, hi), b in zip(spans, cars)], [
+            ({}, [mults[j] for j in pairs.sees[i]], [mults[j] for j in pairs.seen_by[i]],
+             mults[i], live[i]) for i in range(n)]
+        return self._rows
 
-    def _car_row(self, i: int, sid: int) -> Tuple[Tuple[Tuple[int, int], ...], Optional[int]]:
+    def _car_row(self, i: int, sid: int) -> Tuple[tuple, Optional[int]]:
         """Car i's enabled fires in sid, as ((code, sid delta), ...) in slot
         order, and the sid delta of its part of the delay step (None when
-        its clock bound blocks waiting).
-
-        Reads only i's digit, the digits of the cars in sees[i] (guards,
-        i's target invariant) and seen_by[i] (their invariants against i's
-        target), and i's live observer digit.
-        """
-        mults, pairs, table = self._mults, self._pairs, self._table
-        res_mask, clm_mask, occ_mask = table.res_mask, table.clm_mask, table.occ_mask
-        inv, count = table.inv, table.count
-        ci = (sid // mults[i]) % count
-        # lanes of the cars i sees, and of the cars that see i
-        nb_res, nb_occ = [], []
-        for j in pairs.sees[i]:
-            c = (sid // mults[j]) % count
-            nb_res.append(res_mask[c])
-            nb_occ.append(occ_mask[c])
-        watchers = []
-        for j in pairs.seen_by[i]:
-            c = (sid // mults[j]) % count
-            watchers.append((inv[c], res_mask[c], clm_mask[c]))
-        clm_i = clm_mask[ci]
-        k = self._live_k[i]
-
-        fires = []
-        for fd in table.fires[ci]:
-            req = fd.req
-            if req:
-                if req == _REQ_PCSOME or req == _REQ_PCNONE:
-                    hit = False
-                    if clm_i:
-                        for occ in nb_occ:
-                            if clm_i & occ:
-                                hit = True
-                                break
-                    if hit != (req == _REQ_PCSOME):
-                        continue
-                else:   # claim-free
-                    bit = fd.req_bit
-                    blocked = False
-                    for occ in nb_occ:
-                        if bit & occ:
-                            blocked = True
-                            break
-                    if blocked:
-                        continue
-            # invariants in the target state: i's own against the cars it
-            # sees, then those of the cars that see i
-            tgt = fd.target
-            tr = res_mask[tgt]
-            tc = clm_mask[tgt]
-            ok = True
-            inv_i = inv[tgt]
-            if inv_i == _INV_CC:
-                for res in nb_res:
-                    if tr & res:
-                        ok = False
-                        break
-            elif inv_i == _INV_PCNONE and tc:
-                for occ in nb_occ:
-                    if tc & occ:
-                        ok = False
-                        break
-            if ok:
-                tocc = tr | tc
-                for inv_j, res_j, clm_j in watchers:
-                    if inv_j == _INV_CC:
-                        if res_j & tr:
-                            ok = False
-                            break
-                    elif inv_j == _INV_PCNONE:
-                        if clm_j & tocc:
-                            ok = False
-                            break
-            if not ok:
-                continue
-            delta = (tgt - ci) * mults[i]
-            if fd.emit and k >= 0:
-                cur = (sid // mults[k]) % 3
-                nxt = self._heard[fd.emit][cur]
-                if nxt != cur:
-                    delta += (nxt - cur) * mults[k]
-            fires.append(((i << 8) | fd.slot, delta))
-
-        nx = table.delay_next[ci]
-        return tuple(fires), None if nx < 0 else (nx - ci) * mults[i]
+        its clock bound blocks waiting), memoised in _rows on the key the
+        class docstring gives."""
+        memo, sees, seen, m, k = self._rows[1][i]
+        table = self._table
+        res_mask, clm_mask, inv, count = table.res_mask, table.clm_mask, table.inv, table.count
+        occ = res = wcc = wpc = 0
+        for mj in sees:
+            c = sid // mj % count
+            occ |= res_mask[c] | clm_mask[c]
+            res |= res_mask[c]
+        for mj in seen:
+            c = sid // mj % count
+            if inv[c] == _INV_CC:
+                wcc |= res_mask[c]
+            elif inv[c] == _INV_PCNONE:
+                wpc |= clm_mask[c]
+        ci = sid // m % count
+        cur = sid // k % 3 if k else 0
+        key = ci, occ, res, wcc, wpc, cur
+        row = memo.get(key)
+        if row is None:
+            fires = []
+            for fd in table.fires[ci]:
+                tgt = fd.target
+                tr, tc = res_mask[tgt], clm_mask[tgt]
+                # the guard, i's invariant in the target, then its watchers'
+                if ((fd.guard & occ > 0) != fd.meets
+                        or inv[tgt] == _INV_CC and tr & res
+                        or inv[tgt] == _INV_PCNONE and tc & occ
+                        or tr & wcc or (tr | tc) & wpc):
+                    continue
+                delta = (tgt - ci) * m
+                if fd.emit and k:
+                    delta += (self._heard[fd.emit][cur] - cur) * k
+                fires.append(((i << 8) | fd.slot, delta))
+            nx = table.delay_next[ci]
+            row = tuple(fires), None if nx < 0 else (nx - ci) * m
+            if len(memo) < _ROW_LIMIT:
+                memo[key] = row
+        return row
 
     def _step_of(self, sid: int, code: int) -> Step:
         if code == -1:

@@ -22,6 +22,11 @@ that the witness ends as the verdict says.
 engine_relation(engine) is the engine's own relation, walked over its
 sids.  One test uses it: the five-car AG test, whose 8,700-state road
 the definitional relation would take about 21 s to explore.
+
+expansion(engine, sid) is Engine._expand without its memos: car_row asks
+each neighbour of a car in turn, and the collision observer each
+colliding pair, where the engine memoises rows on unions of lane masks
+and on blocks of cars.
 """
 
 import dataclasses
@@ -35,8 +40,9 @@ from lanecheck.automata import (ActClaim, ActReserve, ActTau, ActWithdrawClaim,
                                 ActWithdrawReservation, ClockConstraint, LaneExists,
                                 build_controller, build_observer_collision,
                                 build_observer_live)
-from lanecheck.checker import (Delay, Engine, Fire, LivenessCar, NoDeadlock,
-                               SafetyNoCollision, Step, SystemState, Trace, Verdict)
+from lanecheck.checker import (_INV_CC, _INV_PCNONE, Delay, Engine, Fire, LivenessCar,
+                               NoDeadlock, SafetyNoCollision, Step, SystemState, Trace,
+                               Verdict)
 from lanecheck.traffic import CarState, Extent, TrafficSnapshot, View
 
 Adjacency = Dict[SystemState, List[Tuple[Step, SystemState]]]
@@ -68,6 +74,111 @@ def engine_relation(engine: Engine) -> Relation:
             out.append((engine._step_of(sid, code), nxt))
         return out
     return successors
+
+
+def car_row(engine: Engine, i: int, sid: int):
+    """Car i's enabled fires in sid, as ((code, sid delta), ...) in slot
+    order, and the sid delta of its part of the delay step (None when its
+    clock bound blocks waiting): Engine._car_row with no memo, asking each
+    neighbour in turn.
+
+    Reads only i's digit, the digits of the cars in sees[i] (guards, i's
+    target invariant) and seen_by[i] (their invariants against i's
+    target), and i's live observer digit.
+    """
+    mults, pairs, table = engine._mults, engine._pair_graph(), engine._table
+    res_mask, clm_mask = table.res_mask, table.clm_mask
+    inv, count = table.inv, table.count
+    ci = (sid // mults[i]) % count
+    # lanes of the cars i sees, and of the cars that see i
+    nb_res, nb_occ = [], []
+    for j in pairs.sees[i]:
+        c = (sid // mults[j]) % count
+        nb_res.append(res_mask[c])
+        nb_occ.append(res_mask[c] | clm_mask[c])
+    watchers = []
+    for j in pairs.seen_by[i]:
+        c = (sid // mults[j]) % count
+        watchers.append((inv[c], res_mask[c], clm_mask[c]))
+    name = engine.car_names[i]
+    k = engine._live_digit0 + engine._live_index[name] if name in engine._live_index else -1
+
+    fires = []
+    for fd in table.fires[ci]:
+        # the guard: whether the lanes it asks about meet a car i sees
+        hit = False
+        for occ in nb_occ:
+            if fd.guard & occ:
+                hit = True
+                break
+        if hit != fd.meets:
+            continue
+        # invariants in the target state: i's own against the cars it
+        # sees, then those of the cars that see i
+        tgt = fd.target
+        tr = res_mask[tgt]
+        tc = clm_mask[tgt]
+        ok = True
+        inv_i = inv[tgt]
+        if inv_i == _INV_CC:
+            for res in nb_res:
+                if tr & res:
+                    ok = False
+                    break
+        elif inv_i == _INV_PCNONE and tc:
+            for occ in nb_occ:
+                if tc & occ:
+                    ok = False
+                    break
+        if ok:
+            tocc = tr | tc
+            for inv_j, res_j, clm_j in watchers:
+                if inv_j == _INV_CC:
+                    if res_j & tr:
+                        ok = False
+                        break
+                elif inv_j == _INV_PCNONE:
+                    if clm_j & tocc:
+                        ok = False
+                        break
+        if not ok:
+            continue
+        delta = (tgt - ci) * mults[i]
+        if fd.emit and k >= 0:
+            cur = (sid // mults[k]) % 3
+            nxt = engine._heard[fd.emit][cur]
+            if nxt != cur:
+                delta += (nxt - cur) * mults[k]
+        fires.append(((i << 8) | fd.slot, delta))
+
+    nx = table.delay_next[ci]
+    return tuple(fires), None if nx < 0 else (nx - ci) * mults[i]
+
+
+def expansion(engine: Engine, sid: int):
+    """Engine._expand(sid) with no memo: car_row's fires in cars order,
+    then the collision observer, asking every colliding pair in turn, then
+    the delay, made of every car's part."""
+    mults = engine._mults
+    succs, enabled, ddelta = [], 0, 0
+    for i in range(engine._ncars):
+        fires, dd = car_row(engine, i, sid)
+        if fires:
+            enabled |= 1 << i
+        succs += [(code, sid + delta) for code, delta in fires]
+        ddelta = None if ddelta is None or dd is None else ddelta + dd
+    any_fire = bool(succs)
+    cd = engine._coll_digit
+    if cd >= 0 and (sid // mults[cd]) % 2 == 0:
+        res_mask, count = engine._table.res_mask, engine._table.count
+        for i, j in engine._pair_graph().collide:
+            if res_mask[(sid // mults[i]) % count] & res_mask[(sid // mults[j]) % count]:
+                succs.append((engine._collide_code, sid + mults[cd]))
+                any_fire = True
+                break
+    if ddelta is not None:
+        succs.append((-1, sid + ddelta))
+    return succs, enabled, any_fire
 
 
 def explore(engine: Engine, relation: Optional[Relation] = None,

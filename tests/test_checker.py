@@ -686,6 +686,16 @@ def _answer(v):
     return (v.outcome, v.states, v.explored, v.note, v.witness)
 
 
+def _memos(eng):
+    """The block memos and the car-row memos of eng._rows, each field of a
+    block named, so that a change to its layout fails here."""
+    blocks, cars = eng._rows
+    block_memos = [memo for _top, _div, _live, _limit, memo, _cars, _pairs in blocks]
+    car_memos = [memo for memo, _sees, _seen, _mult, _live in cars]
+    assert all(isinstance(memo, dict) for memo in block_memos + car_memos)
+    return block_memos, car_memos
+
+
 def test_row_memo_cap_and_lifetime(monkeypatch):
     def answers():
         out = []
@@ -709,12 +719,13 @@ def test_row_memo_cap_and_lifetime(monkeypatch):
 
     def spy(self, sid):
         out = expand(self, sid)
-        largest.append(max(len(memo) for *_, memo in self._rows))
+        largest.append([max(map(len, memos)) for memos in _memos(self)])
         return out
 
     monkeypatch.setattr(Engine, "_expand", spy)
     assert answers() == want
-    assert max(largest) == 1
+    # each kind of memo holds one row at the cap, and held one somewhere
+    assert [max(sizes) for sizes in zip(*largest)] == [1, 1]
 
 
 def test_row_memo_misses_on_a_dense_chain(monkeypatch):
@@ -722,26 +733,92 @@ def test_row_memo_misses_on_a_dense_chain(monkeypatch):
     # one interaction group, each car overlapping only its neighbours
     eng = Engine(4, [("A", 1, 10, 4), ("B", 3, 13, 5), ("C", 0, 17, 6), ("D", 2, 22, 5)],
                  collision_observer=True)
-    misses = [0] * 4
+    calls = [0] * 4
     expansions = []
+    memos = []
     car_row, expand = Engine._car_row, Engine._expand
 
-    def count_miss(self, i, sid):
-        misses[i] += 1
+    def count_call(self, i, sid):
+        calls[i] += 1
         return car_row(self, i, sid)
 
     def count_expansion(self, sid):
         expansions.append(sid)
-        return expand(self, sid)
+        out = expand(self, sid)
+        memos[:] = _memos(self)
+        return out
 
-    monkeypatch.setattr(Engine, "_car_row", count_miss)
+    monkeypatch.setattr(Engine, "_car_row", count_call)
     monkeypatch.setattr(Engine, "_expand", count_expansion)
     v = eng.run_query(SafetyNoCollision())
     assert (v.outcome, v.states) == ("holds", 151_348)
     assert len(expansions) == 151_348
-    # A and D key on two cars, B and C on three
-    assert misses == [417, 8365, 8365, 417]
-    assert sum(misses) < 0.15 * len(expansions)
+    block_memos, car_memos = memos
+    # blocks {A,B} and {C,D}, keyed on the digits of A-C and B-D: two
+    # lookups per expansion, and a miss asks each car of its block once
+    assert len(block_memos) == 2
+    assert calls == [8365] * 4
+    assert [len(memo) for memo in block_memos] == [8365, 8365]
+    assert sum(calls[::2]) < 0.15 * len(expansions)
+    # every car row computed was stored: keys on lane-mask unions repeat
+    # across far more neighbour configurations than the blocks' keys
+    assert [len(memo) for memo in car_memos] == [190, 603, 603, 190]
+    assert max(map(len, block_memos + car_memos)) < checker._ROW_LIMIT
+
+
+def test_a_two_car_group_stores_no_block_rows(monkeypatch):
+    # a block whose slice spans every car is keyed on the whole state,
+    # whose keys never repeat in one search, so it stores nothing; its car
+    # rows still repeat
+    expand = Engine._expand
+    sizes = []
+
+    def spy(self, sid):
+        out = expand(self, sid)
+        sizes.append([sum(map(len, memos)) for memos in _memos(self)])
+        return out
+
+    monkeypatch.setattr(Engine, "_expand", spy)
+    for query in ALL_QUERIES:
+        eng = Engine.for_query(tiny(), query)
+        eng.run_query(query)
+        assert len(eng._pair_graph().groups) == 1
+    stored_blocks, stored_cars = zip(*sizes)
+    assert max(stored_blocks) == 0
+    assert 0 < max(stored_cars) < len(sizes)
+
+
+@st.composite
+def _near_roads_and_a_far_car(draw):
+    """Two or three cars close together, and maybe one far ahead of them
+    at any place in cars order: any variant, horizon 2-5 or covering, with
+    or without the collision observer, watching any cars in any order."""
+    lanes = draw(st.integers(2, 3))
+    cars = [[name, draw(st.integers(0, lanes - 1)), draw(st.integers(0, 6)),
+             draw(st.integers(2, 5))] for name in "ABC"[:draw(st.integers(2, 3))]]
+    if draw(st.booleans()):
+        cars.insert(draw(st.integers(0, len(cars))), ["F", draw(st.integers(0, lanes - 1)), 40, 3])
+    names = [c[0] for c in cars]
+    return Engine(lanes, cars, draw(st.sampled_from(VARIANTS)),
+                  collision_observer=draw(st.booleans()),
+                  live_observers=draw(st.lists(st.sampled_from(names), unique=True)),
+                  horizon=draw(st.sampled_from([None, 2, 3, 4, 5])))
+
+
+@given(_near_roads_and_a_far_car())
+@settings(max_examples=300, deadline=None)
+def test_memoised_rows_match_a_memo_free_expansion(eng):
+    # the first 1,500 states of the breadth-first search, so that block
+    # and car rows are both stored and hit
+    order = [eng._initial_sid]
+    seen = set(order)
+    for sid in order:
+        expansion = eng._expand(sid)
+        assert expansion == oracles.expansion(eng, sid), sid
+        for _, s2 in expansion[0]:
+            if s2 not in seen and len(seen) < 1500:
+                seen.add(s2)
+                order.append(s2)
 
 
 def test_every_start_is_its_own_delay_successor():
