@@ -234,23 +234,13 @@ def canonical_variant(name: str) -> str:
     return _VARIANT_ALIASES.get(name, name)
 
 
-def build_lcp_original(i: str, constants: Constants = Constants()) -> Automaton:
-    """The plain lane-change protocol for car i."""
-    return _build(i, constants, timed_claims=False, backoff=False, guarded_claims=False)
-
-
-def build_lcp_live(i: str, constants: Constants = Constants()) -> Automaton:
-    """The live lane-change protocol for car i (timed claims, back-off, guarded claims)."""
-    return _build(i, constants, timed_claims=True, backoff=True, guarded_claims=True)
-
-
 def build_controller(variant: str, i: str, constants: Constants = Constants()) -> Automaton:
+    """Car i's controller: the plain lane-change protocol (original), with
+    timed claims (original-plus-tw), or the live protocol with timed
+    claims, back-off and guarded claims (live)."""
     v = canonical_variant(variant)
-    if v == "original":
-        return build_lcp_original(i, constants)
-    if v == "original-plus-tw":
-        return _build(i, constants, timed_claims=True, backoff=False, guarded_claims=False)
-    return build_lcp_live(i, constants)
+    return _build(i, constants, timed_claims=v != "original", backoff=v == "live",
+                  guarded_claims=v == "live")
 
 
 def _build(i: str, c: Constants, timed_claims: bool, backoff: bool, guarded_claims: bool) -> Automaton:

@@ -46,7 +46,7 @@ Two query styles are supported:
 
 There is one successor generator; ``guard_mode`` only selects how it
 decides, once per pair of cars, whether the pair can meet (see
-``Engine``).
+``Engine``), and stays only for the benchmark harness.
 
 Interaction groups.  Cars i and j interact when either sees the other
 (their extents overlap inside its view) or, under the collision test,
@@ -163,6 +163,7 @@ caller's predicate is never decomposed.
 
 from __future__ import annotations
 
+import copy
 import enum
 import functools
 import os
@@ -398,7 +399,7 @@ _L_DEAD_LOCS = ("cruising", "backoff")
 
 
 def _loc_masks(loc_name: str, n: int, l: int) -> Tuple[int, int]:
-    if loc_name in ("cruising", "backoff"):
+    if loc_name in _L_DEAD_LOCS:
         return 1 << n, 0
     if loc_name in ("claimed", "confirming"):
         return 1 << n, 1 << l
@@ -642,7 +643,11 @@ class Engine:
     (_view_overlap, _extents_meet) under guard_mode="interval", by
     formula (_probe_view, _probe_global) under guard_mode="mlsl".  Its
     _Pairs, the per-car neighbour lists, the colliding pairs and the
-    interaction groups, is the only record of which cars can meet.
+    interaction groups, is the only record of which cars can meet.  Both
+    modes give the same pairs; guard_mode stays only because the
+    benchmark harness (perfbench/) sets it and reads engine.guard_mode.
+    ROADMAP item 5 moves the probes to the tests, and drops guard_mode,
+    once item 2 has changed the harness.
 
     Successor rows.  The fires of car i that are enabled in a state, and
     the sid deltas they make, depend only on i's configuration, on the
@@ -796,8 +801,7 @@ class Engine:
 
     def _extents_meet(self, i: int, j: int) -> bool:
         """Whether the extents of cars i and j overlap, views aside."""
-        a, b = self._cars[i], self._cars[j]
-        return a.pos < b.pos + b.size and b.pos < a.pos + a.size
+        return traffic.extents_meet(self._cars[i], self._cars[j])
 
     def _probe_view(self, i: int, j: int) -> bool:
         """_view_overlap(i, j) by exists_pc_formula in i's standard view of a
@@ -872,20 +876,14 @@ class Engine:
                 for g in self._pair_graph().groups]
 
     def _restrict(self, group: Sequence[int]) -> "Engine":
-        """The engine of one interaction group: the parent's controller
-        table, horizon and budget, its _Pairs re-indexed to the group (so no
-        pair is decided again), and the group's observers."""
+        """The engine of one interaction group: a copy of this one (the
+        controller table, horizon and budget), laid out over the group's
+        cars and observers, with its _Pairs re-indexed to the group (so no
+        pair is decided again)."""
         pairs = self._pair_graph()
         index = {i: k for k, i in enumerate(group)}
         names = {self.car_names[i] for i in group}
-        sub = object.__new__(type(self))
-        sub.lane_count = self.lane_count
-        sub.variant = self.variant
-        sub.constants = self.constants
-        sub.guard_mode = self.guard_mode
-        sub.budget = self.budget
-        sub.horizon = self.horizon
-        sub._table = self._table
+        sub = copy.copy(self)
         sub._layout([self._cars[i] for i in group], self._coll_obs,
                     [(w, obs) for w, obs in zip(self._live_cars, self._live_obs)
                      if w in names])
@@ -902,11 +900,12 @@ class Engine:
     def _expand(self, sid: int):
         """Successors of a packed state.
 
-        Returns (succs, enabled_mask, any_fire) where succs is a list of
-        (code, successor sid); code is -1 for the delay step, i<<8|slot for
-        a fire of controller i, and ncars<<8 for the collision observer.
-        succs lists the fires by car and slot, then the collision observer,
-        then the delay.  enabled_mask has bit i set when controller i can
+        Returns (succs, enabled_mask) where succs is a list of (code,
+        successor sid); code is -1 for the delay step, i<<8|slot for a fire
+        of controller i, and ncars<<8 for the collision observer.  succs
+        lists the fires by car and slot, then the collision observer, then
+        the delay, so a state has a fire exactly when its first edge is not
+        the delay.  enabled_mask has bit i set when controller i can
         fire here.  Each block of cars adds its row from _rows, built from
         car rows on a miss (see the class docstring).
         """
@@ -943,15 +942,13 @@ class Engine:
             if ddelta is not None:
                 ddelta = None if dd is None else ddelta + dd
 
-        any_fire = enabled > 0
         if collides:
             m = self._mults[self._coll_digit]
             if sid // m % 2 == 0:
                 succs.append((self._collide_code, sid + m))
-                any_fire = True
         if ddelta is not None:
             succs.append((-1, sid + ddelta))
-        return succs, enabled, any_fire
+        return succs, enabled
 
     def _row_cache(self) -> Tuple[list, list]:
         """_rows: the blocks, and per car i (its row memo, the multipliers of
@@ -1255,11 +1252,12 @@ class Engine:
         or the budget (None when it was built to its end).  A region that stopped
         early must not be searched for cycles: its later states were never expanded."""
         init = self._initial_sid
-        region = _Region({init: 0}, [init], array("q", [0]), array("i"), array("i"))
-        index, order, offsets, targets, codes = region
+        region = _Region([init], array("q", [0]), array("i"), array("i"))
+        order, offsets, targets, codes = region
+        index = {init: 0}   # sid -> state number, read only while building
         enabled: List[int] = []     # a list: masks can exceed 64 bits
         for sid in order:   # grows while it is walked: a breadth-first queue
-            succs, mask, _ = self._expand(sid)
+            succs, mask = self._expand(sid)
             if not succs:
                 return region, enabled, Verdict("fails", states=len(order),
                                                 note="run reaches a stuck state")
@@ -1439,8 +1437,8 @@ class Engine:
         """The verdict and part of group's engine (_group_part), and for an
         OPEN part what _Product reads of the group: its cars (road
         indices), its region with each state's part of the road's sid in
-        place of its own sid and no index, and its enabled masks.  The
-        group's engine is not kept."""
+        place of its own sid, and its enabled masks.  The group's engine is
+        not kept."""
         sub = self._restrict(group)
         verdict, part, found = sub._group_part(query, watched)
         if found is None:
@@ -1449,7 +1447,7 @@ class Engine:
         places = [self._mults[i] for i in group] + [
             self._mults[self._live_digit0 + self._live_index[w]] for w in sub._live_cars]
         sids = [sum(d * m for d, m in zip(sub._unpack(sid), places)) for sid in region.order]
-        return verdict, part, (group, region._replace(index={}, order=sids), enabled)
+        return verdict, part, (group, region._replace(order=sids), enabled)
 
     @_drops_rows
     def _group_part(self, query: Query, watched: Sequence[str]
@@ -1482,18 +1480,20 @@ class Engine:
         return wanted
 
     def _deadlock_from(self, sid: int, expansion) -> bool:
-        succs, _, any_fire = expansion
-        if any_fire:
+        """Whether no fire is reachable from sid by delays alone.  A state
+        has a fire exactly when its first edge is not the delay (_expand)."""
+        succs = expansion[0]
+        if succs and succs[0][0] != -1:
             return False
         seen = {sid}
-        while succs and not any_fire:
+        while succs and succs[0][0] == -1:
             # only the delay is left; follow delays until a fire shows up
-            sid = succs[-1][1]
+            sid = succs[0][1]
             if sid in seen:
                 return True
             seen.add(sid)
-            succs, _, any_fire = self._expand(sid)
-        return not any_fire
+            succs = self._expand(sid)[0]
+        return not succs
 
     @classmethod
     def for_query(cls, sc: Scenario, query: Query, **kwargs) -> "Engine":
@@ -1531,15 +1531,12 @@ class _Part(enum.Enum):
 class _Region(NamedTuple):
     """A numbered region (Engine._region).  order[k] is the sid of state k,
     in breadth-first discovery order, which is also the order states are
-    expanded in, and index maps each sid back to k.  State k's edges, in
-    _expand order, are targets[e] (state numbers) and codes[e] (as in
-    _expand) for e in range(offsets[k], offsets[k + 1]); a state found but
-    not expanded has no entry there and reads as having no edges.  order
-    stays a list, since sids can exceed 64 bits."""
+    expanded in.  State k's edges, in _expand order, are targets[e] (state
+    numbers) and codes[e] (as in _expand) for e in range(offsets[k],
+    offsets[k + 1]); a state found but not expanded has no entry there and
+    reads as having no edges.  order stays a list, since sids can exceed
+    64 bits."""
 
-    # index first, so that it is freed last (a tuple frees its items last to
-    # first): freed first, it kept 3 MB more resident on dense (40 vs 37 MB)
-    index: Dict[int, int]
     order: List[int]
     offsets: array
     targets: array

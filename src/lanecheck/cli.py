@@ -166,13 +166,8 @@ def _cmd_check(args) -> int:
     sc = _load(args.scenario)
     if args.variant is not None:
         sc = dataclasses.replace(sc, variant=args.variant)
-    query = parse_query(args.query)
-    kwargs = {}
-    if args.budget is not None:
-        kwargs["budget"] = args.budget
-    if args.guard_mode is not None:
-        kwargs["guard_mode"] = args.guard_mode
-    verdict = checker.run_query(sc, query, **kwargs)
+    # budget None: the environment variable or the default (Engine)
+    verdict = checker.run_query(sc, parse_query(args.query), budget=args.budget)
 
     if args.json:
         doc = {
@@ -402,10 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report inconclusive once the whole road has more than N "
              "distinct states (safety and no-deadlock may count them as a "
              "product of interaction groups without storing them)")
-    p_check.add_argument(
-        "--guard-mode", choices=("interval", "mlsl"), default=None,
-        help="decide which car pairs can meet by interval arithmetic or "
-             "by evaluating the guard formulas (default interval)")
     p_check.add_argument(
         "--json", action="store_true", help="machine-readable output")
     p_check.set_defaults(func=_cmd_check)

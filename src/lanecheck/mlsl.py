@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from .traffic import CarState, TrafficSnapshot, View
+from .traffic import TrafficSnapshot, View, extents_meet
 
 
 class MlslError(Exception):
@@ -244,21 +244,18 @@ class _Tokenizer:
         return tok
 
 
-def parse(text: str, lane_vars: Iterable[str] = ()) -> Formula:
+def parse(text: str) -> Formula:
     """Parse the concrete formula syntax.
 
     Grammar: `true`, `free`, `re(c)`, `cl(c)`, `u = v`, `!phi`,
     `phi & phi`, `phi ; phi` (horizontal chop), `exists c. phi`,
     `[upper / lower]` (vertical chop, upper half written first),
     `<phi>` (somewhere), parentheses.  Precedence `!` > `&` > `;`,
-    `exists` reaches right as far as possible.
-
-    `lane_vars` declares identifiers of lane sort; equating a lane-sort
-    variable with a car-sort one (or using it inside re/cl) is an error.
+    `exists` reaches right as far as possible.  Variables have no
+    declared sort: a value that is not a car is rejected inside re/cl when
+    the formula is evaluated (EvalError).
     """
     tz = _Tokenizer(text)
-    vareqs: List[Tuple[str, str, int]] = []
-    recl_args: List[Tuple[str, int]] = []
 
     def p_formula() -> Formula:
         if tz.peek()[0] == "exists":
@@ -296,9 +293,8 @@ def parse(text: str, lane_vars: Iterable[str] = ()) -> Formula:
             return Free()
         if kind in ("re", "cl"):
             tz.expect("(")
-            _, arg, argpos = tz.expect("ident")
+            arg = tz.expect("ident")[1]
             tz.expect(")")
-            recl_args.append((arg, argpos))
             return Re(arg) if kind == "re" else Cl(arg)
         if kind == "ident":
             if tz.peek()[0] == "=":
@@ -306,7 +302,6 @@ def parse(text: str, lane_vars: Iterable[str] = ()) -> Formula:
                 rkind, rword, rpos = tz.next()
                 if rkind != "ident":
                     raise ParseError(f"expected identifier after '=', found {rword!r}", rpos)
-                vareqs.append((word, rword, pos))
                 return VarEq(word, rword)
             raise ParseError(f"bare identifier {word!r} is not a formula", pos)
         if kind == "(":
@@ -327,42 +322,7 @@ def parse(text: str, lane_vars: Iterable[str] = ()) -> Formula:
 
     f = p_formula()
     tz.expect("eof")
-    _check_sorts(f, frozenset(lane_vars), vareqs, recl_args)
     return f
-
-
-def _check_sorts(
-    f: Formula,
-    lane_vars: FrozenSet[str],
-    vareqs: List[Tuple[str, str, int]],
-    recl_args: List[Tuple[str, int]],
-) -> None:
-    car_vars = {"ego"}
-
-    def walk(g: Formula):
-        if isinstance(g, (Re, Cl)):
-            car_vars.add(g.car)
-        elif isinstance(g, ExistsCar):
-            car_vars.add(g.var)
-            walk(g.sub)
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (And, HChop)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, VChop):
-            walk(g.lower)
-            walk(g.upper)
-
-    walk(f)
-    for arg, pos in recl_args:
-        if arg in lane_vars:
-            raise ParseError(f"lane variable {arg!r} used as a car", pos)
-    for u, v, pos in vareqs:
-        u_car, v_car = u in car_vars, v in car_vars
-        u_lane, v_lane = u in lane_vars, v in lane_vars
-        if (u_car and v_lane) or (u_lane and v_car):
-            raise ParseError(f"comparing variables of different sorts: {u} = {v}", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +331,10 @@ def _check_sorts(
 Valuation = Mapping[str, Union[str, int]]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _free_vars(f: Formula) -> Tuple[str, ...]:
+    """f's free variables, for the sweep's memo keys; bounded as _compile
+    is, since each entry keeps its formula alive."""
     if isinstance(f, (Re, Cl)):
         return (f.car,)
     if isinstance(f, VarEq):
@@ -738,7 +700,10 @@ def eval(ts: TrafficSnapshot, view: View, nu: Valuation, phi: Formula,
     chop_modes apply the one chop rule, a split at some point of the
     extent; chop_mode picks the algorithm: "fast" builds rows bottom-up
     (_row, over phi compiled once), "sweep" recurses top-down over every
-    split point (_eval, the reference the tests compare against).
+    split point (_eval, the reference the tests compare against).  The
+    sweep stays here only because the benchmark harness (perfbench/) calls
+    it; ROADMAP item 5 moves it to the tests, and drops chop_mode, once
+    item 2 has changed the harness.
     """
     if chop_mode not in ("fast", "sweep"):
         raise ValueError(f"chop_mode must be 'fast' or 'sweep', got {chop_mode!r}")
@@ -757,18 +722,10 @@ def eval(ts: TrafficSnapshot, view: View, nu: Valuation, phi: Formula,
 # reference that the formulas below are compared against.
 
 
-def _meet(a: CarState, b: CarState) -> bool:
-    """Overlapping intervals.  The test is strict (merely touching endpoints
-    do not count): a car whose visible part has zero length can never
-    satisfy a re/cl atom, so the formula side never sees touching as
-    overlap either."""
-    return a.pos < b.pos + b.size and b.pos < a.pos + a.size
-
-
 def cc(ts: TrafficSnapshot, ego: str) -> bool:
     """No other car's reservation shares a lane with ego's and meets it."""
     mine = ts.car(ego)
-    return not any(c != ego and mine.res & car.res and _meet(mine, car)
+    return not any(c != ego and mine.res & car.res and extents_meet(mine, car)
                    for c, car in ts.cars.items())
 
 
@@ -778,7 +735,7 @@ def pc(ts: TrafficSnapshot, ego: str, c: str) -> bool:
         return False
     other = ts.car(c)
     mine = ts.car(ego)
-    return bool(mine.clm & (other.res | other.clm)) and _meet(mine, other)
+    return bool(mine.clm & (other.res | other.clm)) and extents_meet(mine, other)
 
 
 def cc_formula() -> Formula:

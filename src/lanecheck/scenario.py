@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from .automata import Constants, VARIANTS, canonical_variant
-from .traffic import CarState, TrafficSnapshot
+from .traffic import CarState, TrafficSnapshot, extents_meet
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _CONST_NAMES = ("t", "t_lc", "t_w", "wait_lo", "wait_hi")
@@ -83,11 +83,10 @@ class Scenario:
                 raise ScenarioError(f"car {car.name!r} needs positive size")
         for a in self.cars:
             for b in self.cars:
-                if a.name < b.name and a.lane == b.lane:
-                    if a.pos < b.pos + b.size and b.pos < a.pos + a.size:
-                        raise ScenarioError(
-                            f"initial cc violated: {a.name} and {b.name} overlap on lane {a.lane}"
-                        )
+                if a.name < b.name and a.lane == b.lane and extents_meet(a, b):
+                    raise ScenarioError(
+                        f"initial cc violated: {a.name} and {b.name} overlap on lane {a.lane}"
+                    )
         if self.horizon is not None and self.horizon < 1:
             raise ScenarioError("horizon must be positive")
 

@@ -95,6 +95,14 @@ class CarState:
         return Extent(self.pos, self.pos + self.size)
 
 
+def extents_meet(a, b) -> bool:
+    """Whether the extents of two cars (anything with pos and size)
+    overlap.  The test is strict (merely touching endpoints do not count):
+    a car whose visible part has zero length can never satisfy a re/cl
+    atom, so the formula side never sees touching as overlap either."""
+    return a.pos < b.pos + b.size and b.pos < a.pos + a.size
+
+
 class Action:
     """Base class for traffic-level controller actions (concrete lanes)."""
 

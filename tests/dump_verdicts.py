@@ -15,8 +15,19 @@ check_ag/check_af cases on fig1 under `live`: 291 in all.  Arguments, when
 given, are label prefixes: only the cases whose label starts with one of
 them run.  `--list` prints the labels.  The tests certify every witness
 of the interval-mode cases (oracles.certify).
+
+The interval half (the cases not ending in /mlsl, 147 lines) is also
+recorded in tests/verdicts.sha256, one SHA-256 of each line with its label,
+and the tests check every line against it.  A change that moves one of
+these lines on purpose (a new `explored` count, say) rewrites that file
+with
+
+    PYTHONPATH=src:tests python -c "import dump_verdicts; dump_verdicts.write_digests()"
+
+and says why in CHANGES.md.
 """
 
+import hashlib
 import json
 import sys
 from functools import partial
@@ -30,6 +41,7 @@ from oracles import Bad, Goal
 from support import FIG1_CARS, FIVE_CARS
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "verdicts.sha256"
 VARIANTS = ("original", "original-plus-tw", "live")
 GUARD_MODES = ("interval", "mlsl")
 FIG1 = [(c.name, c.lane, c.pos, c.size) for c in FIG1_CARS]
@@ -95,6 +107,24 @@ def cases() -> Iterator[Tuple[str, Callable[[], Engine], object]]:
     yield "fig1/live/check_af(false)", fig1, Goal(lambda s: False)
 
 
+def line(label: str, verdict: Verdict) -> str:
+    """The dump's line for a case."""
+    return json.dumps({"case": label, **verdict.to_dict()}, sort_keys=True)
+
+
+def digest(label: str, verdict: Verdict) -> str:
+    """The line of verdicts.sha256 for a case: the SHA-256 of its dump
+    line, then its label."""
+    return f"{hashlib.sha256(line(label, verdict).encode()).hexdigest()}  {label}"
+
+
+def write_digests() -> None:
+    """Rewrite verdicts.sha256 from the interval half of the cases."""
+    rows = [digest(label, answer(build(), question))
+            for label, build, question in cases() if not label.endswith("/mlsl")]
+    DIGESTS.write_text("".join(row + "\n" for row in rows))
+
+
 def main(argv: List[str]) -> int:
     listing = "--list" in argv
     prefixes = [a for a in argv if a != "--list"]
@@ -105,7 +135,7 @@ def main(argv: List[str]) -> int:
             print(label)
             continue
         verdict = answer(build(), question)
-        print(json.dumps({"case": label, **verdict.to_dict()}, sort_keys=True), flush=True)
+        print(line(label, verdict), flush=True)
     return 0
 
 

@@ -167,18 +167,16 @@ def expansion(engine: Engine, sid: int):
             enabled |= 1 << i
         succs += [(code, sid + delta) for code, delta in fires]
         ddelta = None if ddelta is None or dd is None else ddelta + dd
-    any_fire = bool(succs)
     cd = engine._coll_digit
     if cd >= 0 and (sid // mults[cd]) % 2 == 0:
         res_mask, count = engine._table.res_mask, engine._table.count
         for i, j in engine._pair_graph().collide:
             if res_mask[(sid // mults[i]) % count] & res_mask[(sid // mults[j]) % count]:
                 succs.append((engine._collide_code, sid + mults[cd]))
-                any_fire = True
                 break
     if ddelta is not None:
         succs.append((-1, sid + ddelta))
-    return succs, enabled, any_fire
+    return succs, enabled
 
 
 def explore(engine: Engine, relation: Optional[Relation] = None,

@@ -18,8 +18,6 @@ from lanecheck.automata import (
     SpatialGuard,
     VARIANTS,
     build_controller,
-    build_lcp_live,
-    build_lcp_original,
     build_observer_collision,
     build_observer_live,
     canonical_variant,
@@ -153,7 +151,7 @@ def test_common_shape():
 
 
 def test_original_claims_are_untimed():
-    auto = build_lcp_original("A")
+    auto = build_controller("original", "A")
     assert [loc.name for loc in auto.locations] == [
         "cruising", "claimed", "confirming", "changing"]
     assert len(auto.edges) == 7
@@ -179,7 +177,7 @@ def test_plus_tw_holds_claims_for_tw():
 
 def test_live_adds_backoff_and_guarded_claims():
     c = Constants()
-    auto = build_lcp_live("A", c)
+    auto = build_controller("live", "A", c)
     assert [loc.name for loc in auto.locations] == [
         "cruising", "claimed", "confirming", "changing", "backoff"]
     assert len(auto.edges) == 8
@@ -199,7 +197,7 @@ def test_live_adds_backoff_and_guarded_claims():
 
 def test_constants_flow_into_bounds():
     c = Constants(t=5, t_lc=7, t_w=3, wait_lo=2, wait_hi=9)
-    auto = build_lcp_live("B", c)
+    auto = build_controller("live", "B", c)
     assert auto.location("claimed").clock_bound == 3
     assert auto.location("confirming").clock_bound == 5
     assert auto.location("changing").clock_bound == 7
@@ -229,7 +227,7 @@ def test_dangling_edge_rejected():
 
 
 def test_location_lookup():
-    auto = build_lcp_original("A")
+    auto = build_controller("original", "A")
     assert auto.location("claimed").name == "claimed"
     with pytest.raises(KeyError):
         auto.location("parked")

@@ -127,17 +127,6 @@ def test_check_trace_file_without_witness(tmp_path, capsys):
     assert out_file.read_text() == "# no witness: verdict holds\n"
 
 
-def test_check_guard_modes_agree(tmp_path, capsys):
-    scn = tmp_path / "pair.scn"
-    scn.write_text("lanes 3\ncar A lane 0 pos 0 size 4\ncar B lane 2 pos 2 size 4\n")
-    codes = {}
-    for mode in ("interval", "mlsl"):
-        codes[mode], out, _ = run_cli(
-            "check", str(scn), "--query", "liveness-any",
-            "--guard-mode", mode, capsys=capsys)
-    assert codes["interval"] == codes["mlsl"]
-
-
 # --- eval -------------------------------------------------------------------------
 
 
@@ -290,6 +279,7 @@ def test_checker_error_maps_to_usage(capsys):
     ["check", FIG1],
     ["check", FIG1, "--query", "safety", "--variant", "turbo"],
     ["check", FIG1, "--query", "safety", "--budget", "lots"],
+    ["check", FIG1, "--query", "safety", "--guard-mode", "mlsl"],
     ["eval", FIG1, "--car", "E"],
 ])
 def test_argparse_usage_exits_three(argv, capsys):

@@ -196,21 +196,6 @@ def test_parse_somewhere_brackets():
     assert parse("<free>") == somewhere(Free())
 
 
-def test_parse_rejects_lane_variable_in_re():
-    with pytest.raises(ParseError):
-        parse("re(u)", lane_vars=["u"])
-
-
-def test_parse_rejects_mixed_sort_equation():
-    with pytest.raises(ParseError):
-        parse("u = ego", lane_vars=["u"])
-    with pytest.raises(ParseError):
-        # c picks up car sort from re(c)
-        parse("re(c) & u = c", lane_vars=["u"])
-    # both sides of unknown sort: sorted out by the valuation, not the parser
-    parse("u = c", lane_vars=["u"])
-
-
 def test_parse_reports_position():
     with pytest.raises(ParseError) as err:
         parse("re(ego) ;; free")
@@ -269,6 +254,20 @@ def test_eval_unknown_car_binding():
     ts = one_car()
     with pytest.raises(EvalError):
         ev(ts, View(1, 1, Extent(0, 20)), Re("c"), nu={"c": "ghost"})
+
+
+def test_free_vars_cache_stays_bounded():
+    # the sweep asks _free_vars of every chop it memoises, and each entry
+    # keeps its formula alive: more distinct formulas than the bound must
+    # not grow the cache past it
+    mlsl._free_vars.cache_clear()
+    ts = one_car()
+    for k in range(300):
+        phi = HChop(Re("ego"), VarEq("ego", f"v{k}"))
+        assert ev(ts, View(1, 1, Extent(10, 15)), phi, nu={f"v{k}": "A"}, mode="sweep")
+    info = mlsl._free_vars.cache_info()
+    assert info.misses > 256
+    assert info.currsize <= 256
 
 
 def test_eval_rejects_bad_chop_mode():
