@@ -163,7 +163,6 @@ caller's predicate is never decomposed.
 
 from __future__ import annotations
 
-import copy
 import enum
 import functools
 import os
@@ -883,7 +882,12 @@ class Engine:
         pairs = self._pair_graph()
         index = {i: k for k, i in enumerate(group)}
         names = {self.car_names[i] for i in group}
-        sub = copy.copy(self)
+        # attribute by attribute: an engine made by copy.copy, whose
+        # __dict__ is filled in one update, ran _expand about 10% slower
+        # (CPython 3.11)
+        sub = object.__new__(type(self))
+        for name, value in vars(self).items():
+            setattr(sub, name, value)
         sub._layout([self._cars[i] for i in group], self._coll_obs,
                     [(w, obs) for w, obs in zip(self._live_cars, self._live_obs)
                      if w in names])
