@@ -880,8 +880,6 @@ def test_interval_dump_matches_its_recorded_digests(interval_dump):
     want = dump_verdicts.DIGESTS.read_text().splitlines()
     got = [dump_verdicts.digest(label, v) for label, _, _, v in interval_dump]
     assert len(want) == 147
-    for row, expected in zip(got, want):
-        assert row == expected
     assert got == want
 
 
