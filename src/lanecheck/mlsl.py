@@ -39,6 +39,20 @@ from u* to the view's end.  As u >= s, the scan over s for a band stops
 once s reaches the least u found so far.  This is the one chop rule
 unfolded, not another rule.
 
+The scan also skips every band and start where the payload's row is 0 by
+the atoms' definitions (_where).  re(x) and cl(x) hold only on one lane
+that x reserves resp. claims, and only on [s, u] with s in [pos_x,
+pos_x + size_x - 1], as the car must fill the extent and u > s; free
+holds only on one lane and only for s < hi, its u being at most hi.
+A conjunction holds only where both parts can; a chop a ; b holds on
+[s, u] only if a holds on some [s, m] and b on [m, u], both on the same
+band, so it keeps a's starts and both parts' lanes; exists v. a holds
+only where a can for some car bound to v.  Every other node is left
+unbounded.  The bound is used only when each free variable of the
+payload is bound to a car: then no row of the payload can raise
+EvalError, each skipped row is 0, the least u is the same, and so is
+the answer.
+
 The module also carries `cc` and `pc`, the collision checks by interval
 arithmetic, and builders for their formula counterparts, so tests can
 cross-validate the two.
@@ -557,8 +571,8 @@ class _Rows:
     decodes to one (node, band, r); the node fixes how many digits follow.
     """
 
-    __slots__ = ("prog", "values", "env", "unbound", "lo", "hi", "ext", "res", "clm",
-                 "width", "nodes", "fixed", "memo")
+    __slots__ = ("prog", "values", "env", "unbound", "lo", "hi", "lanes", "ext", "res",
+                 "clm", "width", "nodes", "fixed", "memo", "where")
 
     def __init__(self, prog: _Program, ts: TrafficSnapshot, view: View, nu: Valuation):
         names = sorted(ts.cars)
@@ -574,6 +588,7 @@ class _Rows:
         self.unbound = len(self.values)
         self.env = [self.unbound if value is _MISSING else codes[value] for value in bound]
         self.lo, self.hi = view.extent.lo, view.extent.hi
+        self.lanes = range(view.lane_lo, view.lane_hi + 1)
         self.ext = [(c.pos, c.pos + c.size) for c in cars]
         self.res = [c.res for c in cars]
         self.clm = [c.clm for c in cars]
@@ -581,6 +596,7 @@ class _Rows:
         self.nodes = len(prog.tags)
         self.fixed = self.nodes * self.width * self.width * (self.hi - self.lo + 1)
         self.memo: Dict[int, int] = {}
+        self.where: Dict[int, Optional[tuple]] = {}
 
     def value(self, slot: int) -> int:
         """The code bound to slot, or EvalError if it is unbound."""
@@ -604,12 +620,48 @@ def _span(ctx: _Rows, x: int, y: int) -> int:
     return ((1 << (y - x + 1)) - 1) << (x - ctx.lo) if x <= y else 0
 
 
+def _where(ctx: _Rows, node: int) -> Optional[tuple]:
+    """Where node's row can be non-zero, under a binding of each of its
+    free variables to a car: None if anywhere, else (lanes, first, last),
+    only on the one-lane band of a lane in lanes and from a start r in
+    [first, last].  The rules are the module docstring's."""
+    prog = ctx.prog
+    tag = prog.tags[node]
+    if tag == _RE or tag == _CL:
+        alpha = ctx.env[prog.one[node]]
+        a, b = ctx.ext[alpha]
+        return (ctx.res if tag == _RE else ctx.clm)[alpha], a, b - 1
+    if tag == _FREE:
+        return frozenset(ctx.lanes), ctx.lo, ctx.hi - 1
+    if tag == _AND or tag == _HCHOP:
+        one, two = _where(ctx, prog.one[node]), _where(ctx, prog.two[node])
+        if tag == _HCHOP and two is not None:
+            two = two[0], ctx.lo, ctx.hi  # the right part starts at the split
+        if one is None or two is None:
+            return one or two
+        return one[0] & two[0], max(one[1], two[1]), min(one[2], two[2])
+    if tag == _EXISTS:
+        var, env = prog.one[node], ctx.env
+        shadowed, lanes, first, last = env[var], frozenset(), ctx.hi + 1, ctx.lo - 1
+        for alpha in range(len(ctx.ext)):
+            env[var] = alpha
+            got = _where(ctx, prog.two[node])
+            if got is None:
+                env[var] = shadowed
+                return None
+            lanes, first, last = lanes | got[0], min(first, got[1]), max(last, got[2])
+        env[var] = shadowed
+        return lanes, first, last
+    return None
+
+
 def _row(ctx: _Rows, ll: int, ln: int, r: int, node: int) -> int:
     """The right ends t in [r, hi] where node holds on lanes ll..ln, extent [r, t].
 
     Bit t - lo of the result stands for t.  Each row is computed once per
     (node, band, r, binding), not once per path of chop points leading
-    there.
+    there.  A <phi> node asks its payload only about the bands and starts
+    that _where leaves, once per binding.
     """
     prog = ctx.prog
     tag = prog.tags[node]
@@ -648,14 +700,25 @@ def _row(ctx: _Rows, ll: int, ln: int, r: int, node: int) -> int:
         # the least u such that the payload holds on some sub-band and
         # some [s, u] with r <= s; see the module docstring
         sub, lo, best = prog.one[node], ctx.lo, ctx.hi + 1
-        for a in range(ll, ln + 2):
-            for b in range(a - 1, ln + 1):
-                s = r
-                while s < best:
-                    found = _row(ctx, a, b, s, sub)
-                    if found:
-                        best = min(best, lo + (found & -found).bit_length() - 1)
-                    s += 1
+        once = node + ctx.nodes * binding  # the bound depends on neither band nor r
+        where = ctx.where.get(once, _MISSING)
+        if where is _MISSING:
+            cars = len(ctx.ext)
+            bound = all(env[slot] < cars for slot in prog.fv[sub])
+            where = ctx.where[once] = _where(ctx, sub) if bound else None
+        if where is None:
+            bands = [(a, b) for a in range(ll, ln + 2) for b in range(a - 1, ln + 1)]
+            first, stop = r, best
+        else:
+            bands = [(a, a) for a in range(ll, ln + 1) if a in where[0]]
+            first, stop = max(r, where[1]), where[2] + 1
+        for a, b in bands:
+            s = first
+            while s < best and s < stop:
+                found = _row(ctx, a, b, s, sub)
+                if found:
+                    best = min(best, lo + (found & -found).bit_length() - 1)
+                s += 1
         row = _span(ctx, best, ctx.hi)
     elif tag == _AND:
         row = _row(ctx, ll, ln, r, prog.one[node])

@@ -16,11 +16,23 @@ Each line holds the case label, the chop mode and the answer.  The cases:
   [r, t] over 17 view ends 3 units apart, three lane bands (2,754).
 That is 10,931 answers.  Arguments, when given, are label prefixes: only
 the cases whose label starts with one of them run.
+
+The fast lines of the C1, C7 and grid sections are also recorded in
+tests/formulas.sha256, one SHA-256 per section, and the tests check them.
+The 200 sweep lines and the 3,000 draws are not recorded there: they stay
+a comparison of two runs of this script.  A change that moves a recorded
+answer on purpose rewrites that file with
+
+    PYTHONPATH=src:tests python -c "import dump_formulas; dump_formulas.write_digests()"
+
+and says why in CHANGES.md.
 """
 
+import hashlib
 import json
 import random
 import sys
+from pathlib import Path
 from typing import Callable, Iterator, List, Tuple
 
 from hypothesis import HealthCheck, Phase, given, settings
@@ -40,6 +52,7 @@ GRID_FORMULAS = ("free ; free ; free", "re(ego) ; free ; re(c)", "<free ; free> 
                  "<re(ego)> ; free ; <re(c)>", "exists d. !(d = ego) & <free ; re(d)>")
 GRID_ENDS = tuple(range(-4, 45, 3))
 GRID_BANDS = ((0, 0), (1, 1), (0, 1))
+DIGESTS = Path(__file__).resolve().parent / "formulas.sha256"
 
 Case = Tuple[str, str, Callable[[], bool]]
 
@@ -110,12 +123,33 @@ def grid() -> Iterator[Case]:
                     yield label, "fast", evaluation(ts, View(lo, hi, Extent(r, t)), nu, phi)
 
 
+def line(label: str, mode: str, holds: bool) -> str:
+    return json.dumps({"case": label, "mode": mode, "holds": holds}, sort_keys=True)
+
+
+def digest(group: Callable[[], Iterator[Case]]) -> str:
+    """The line of formulas.sha256 for a section: the SHA-256 of its fast
+    lines, each with its newline, and the section's name."""
+    text = "".join(line(label, mode, run()) + "\n" for label, mode, run in group()
+                   if mode == "fast")
+    return f"{hashlib.sha256(text.encode()).hexdigest()}  {group.__name__}"
+
+
+def digests() -> List[str]:
+    """The lines of formulas.sha256: the C1, C7 and grid sections'."""
+    return [digest(group) for group in (c1, c7, grid)]
+
+
+def write_digests() -> None:
+    DIGESTS.write_text("".join(row + "\n" for row in digests()))
+
+
 def main(argv: List[str]) -> int:
     for group in (c1, c7, drawn, grid):
         for label, mode, run in group():
             if argv and not any(label.startswith(p) for p in argv):
                 continue
-            print(json.dumps({"case": label, "mode": mode, "holds": run()}, sort_keys=True))
+            print(line(label, mode, run()))
     return 0
 
 

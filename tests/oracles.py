@@ -19,10 +19,6 @@ as first breadth-first walks, with a deque.  certify re-derives every
 step of a verdict's witness from the definitional relation and checks
 that the witness ends as the verdict says.
 
-engine_relation(engine) is the engine's own relation, walked over its
-sids.  One test uses it: the five-car AG test, whose 8,700-state road
-the definitional relation would take about 21 s to explore.
-
 expansion(engine, sid) is Engine._expand without its memos: car_row asks
 each neighbour of a car in turn, and the collision observer each
 colliding pair, where the engine memoises rows on unions of lane masks
@@ -54,26 +50,6 @@ def definitional(engine: Engine) -> Relation:
     engine's successor relation, by definition."""
     reference = FormulaSuccessors(engine)
     return lambda state: [(step, reference.normalise(s2)) for step, s2 in reference(state)]
-
-
-def engine_relation(engine: Engine) -> Relation:
-    """The engine's own successor relation, over the states it hands out:
-    _expand's edges from the sid each state came from, as _step_of's steps
-    and _to_state's states, each sid's made once.  No state is packed."""
-    init = engine.initial_state()
-    sids, states = {init: engine._initial_sid}, {engine._initial_sid: init}
-
-    def successors(state: SystemState) -> List[Tuple[Step, SystemState]]:
-        sid = sids[state]
-        out = []
-        for code, s2 in engine._expand(sid)[0]:
-            nxt = states.get(s2)
-            if nxt is None:
-                nxt = states[s2] = engine._to_state(s2)
-                sids[nxt] = s2
-            out.append((engine._step_of(sid, code), nxt))
-        return out
-    return successors
 
 
 def car_row(engine: Engine, i: int, sid: int):

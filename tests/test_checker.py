@@ -1317,10 +1317,7 @@ def test_ag_searches_over_a_space_above_2_to_the_28_match_the_oracle():
             collision = isinstance(query, SafetyNoCollision)
             eng = Engine(4, cars, variant, collision_observer=collision)
             assert eng._mults[0] * eng._radices[0] > 1 << 28
-            # the one oracle walk over the engine's own successor relation:
-            # the definitional relation costs 2.4-5.4 ms per state on this
-            # road, about 21 s for the 8,700 states of original-plus-tw
-            _, adj = oracles.explore(eng, oracles.engine_relation(eng))
+            _, adj = oracles.explore(eng)
             bad = oracles.collision_bad if collision else \
                 lambda s: oracles.is_deadlock(adj, s)
             want = "fails" if any(bad(s) for s in adj) else "holds"

@@ -78,6 +78,20 @@ def test_wider_horizon_reveals_the_far_car():
     assert mlsl.eval(ts, standard_view(ts, "E", 200), NU, somewhere(Re("d")))
 
 
+@pytest.mark.parametrize("text, rows", [
+    ("<re(ego) ; free>", 6),
+    ("<cl(a) & cl(b) ; !cl(a) & cl(b)>", 13),
+    ("<cl(b) ; free ; re(d)>", 11),
+])
+def test_example_formulas_memoise_few_rows(text, rows):
+    # the work of one fast evaluation, by count rather than by time
+    ts = example_snapshot()
+    view = standard_view(ts, "E", 36)
+    ctx = mlsl._Rows(mlsl._compile(parse(text)), ts, view, NU)
+    mlsl._row(ctx, view.lane_lo, view.lane_hi, view.extent.lo, 0)
+    assert len(ctx.memo) == rows
+
+
 # --- atom semantics ------------------------------------------------------------
 
 
@@ -256,6 +270,16 @@ def test_eval_unknown_car_binding():
         ev(ts, View(1, 1, Extent(0, 20)), Re("c"), nu={"c": "ghost"})
 
 
+@pytest.mark.parametrize("nu", [{}, {"x": "ghost"}])
+def test_eval_error_inside_somewhere_is_raised(nu):
+    # re(x) with x unbound or bound to no car raises on any one-lane row
+    # that <> asks about, here lane 0, though re(ego) holds on no lane of
+    # the view (A reserves lane 2)
+    ts = one_car(res={2})
+    with pytest.raises(EvalError):
+        ev(ts, View(0, 1, Extent(10, 20)), parse("<!re(x) & re(ego)>"), nu=nu)
+
+
 def test_free_vars_cache_stays_bounded():
     # the sweep asks _free_vars of every chop it memoises, and each entry
     # keeps its formula alive: more distinct formulas than the bound must
@@ -347,6 +371,13 @@ def test_fast_chop_agrees_with_sweep_across_long_car_free_gaps():
     assert held == set(formulas)
 
 
+def test_formula_dump_matches_its_recorded_digests():
+    # the fast lines of the formula dump's C1, C7 and grid sections, byte
+    # for byte; imported here, as the dump imports this module's strategies
+    import dump_formulas
+    assert dump_formulas.digests() == dump_formulas.DIGESTS.read_text().splitlines()
+
+
 def test_memo_keys_of_nodes_with_different_free_variables_stay_apart():
     # a memo key that appended a node's binding digits right after the node
     # number let a node with fewer free variables read another node's row
@@ -387,6 +418,7 @@ _payloads = st.one_of(
         st.tuples(sub, sub).map(lambda p: And(*p)),
         st.tuples(sub, sub).map(lambda p: HChop(*p)),
         st.tuples(sub, sub).map(lambda p: VChop(lower=p[0], upper=p[1])),
+        st.tuples(_vars, sub).map(lambda p: ExistsCar(*p)),
         sub.map(somewhere),
     ), max_leaves=5),
 )
@@ -415,6 +447,8 @@ _POINT_NU = {"ego": "A", "c": "B", "d": "B"}
 @example((_POINT_ROAD, View(0, 1, Extent(2, 2)), _POINT_NU, somewhere(Re("c"))))
 @example((_POINT_ROAD, View(0, 1, Extent(6, 6)), _POINT_NU, Free()))
 @example((_POINT_ROAD, View(0, 1, Extent(1, 3)), _POINT_NU, somewhere(somewhere(Re("c")))))
+@example((_POINT_ROAD, View(0, 0, Extent(0, 3)), _POINT_NU, ExistsCar("c", Re("c"))))
+@example((_POINT_ROAD, View(1, 1, Extent(2, 5)), _POINT_NU, ExistsCar("c", Re("c"))))
 def test_somewhere_is_phi_on_some_subview(case):
     ts, view, nu, phi = case
     assert mlsl.eval(ts, view, nu, somewhere(phi)) == _holds_in_some_subview(ts, view, nu, phi)
