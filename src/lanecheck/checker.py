@@ -87,8 +87,8 @@ those of the whole product.  ``check_ag`` with a caller's predicate is
 never decomposed.
 
 ``LivenessAny`` and ``LivenessCar`` are answered by group as well, on
-engines without the collision observer, when the answer is ``holds`` or
-a zero-delay cycle.  Each group searches the region of its own engine:
+engines without the collision observer, whenever every group region is
+built to the end.  Each group searches the region of its own engine:
 the states reachable without its watched cars' goal, or every reachable
 state in a group without watched cars.  Since every start is a delay
 fixpoint, the padding argument above shows that the road's region is
@@ -112,26 +112,8 @@ the product SCC is not fair under the rule above, nor does any cycle in
 it satisfy weak fairness.  A product SCC without an internal delay edge
 is a cycle of fires, which (b) rules out.
 
-The road fails with a zero-delay cycle, with the product of the region
-sizes as its state count (or is inconclusive at the budget), when every
-group region is built to the end without a stuck state and some group's
-has a zero-delay cycle.  That is the whole road's answer: its region has
-no stuck state either, so its search builds all of it, and its fire-only
-pass finds a cycle, since a group's cycle of fires lifts to the product
-with the other groups frozen.  Its witness needs no whole region.  That
-pass is Tarjan's search with roots in state order, and state 0 is the
-start, so it yields every SCC of the states reachable from the start
-over fire edges before any other, in an order fixed by the depth-first
-search from the start over the edge lists.  So the states reachable from
-the start over fire edges alone (without goal states), numbered and
-searched the same way, give the same first SCC with an internal edge
-when they hold one, and the same cycle through it; the stem walks the
-whole region's edges on demand.  When they hold none, the whole road is
-searched.
-
-When every group region is built to the end with no stuck state and no
-zero-delay cycle, and none settles the query (each group's part is
-OPEN), the road's region is searched as the product of the group
+Otherwise, when every group region is built to the end with no stuck
+state, the road's region is searched as the product of the group
 regions; the product is never stored (``_Product``).  When that product
 exceeds the budget, the road is inconclusive at the budget without any
 search, whatever the parts: the whole road's region is the product and
@@ -143,22 +125,30 @@ delay edge when every group's state keeps its own: a fire of one group
 is enabled and avoids the goal exactly when it does in the group, and
 the road's delay is enabled and avoids the goal exactly when each
 group's is and does.  Its enabled mask is the union of the group masks.
-That is exact.  Every region state is reachable from state 0, the start,
-so the one depth-first search of Tarjan's pass from root 0, taking each
-state's edges in ``_expand`` order, fixes the components, their order,
-the first fair one, its first state and every breadth-first walk of the
-witness, however the states are numbered.  No group region has a cycle
-of fires, and a product cycle of fires projects onto one in some group,
-so the product has none either, and the fire-only pass is skipped even
-under ``original``.  The verdict, its state count and its witness are
-the whole road's; ``explored`` counts the group states and the
-product's.
 
-Otherwise the whole road is searched once more, so other failing
-liveness verdicts and their witnesses are those of the whole product
-too; a group with a fair cycle of its own does not settle the query but
-does not stop another group from settling it.  ``check_af`` with a
-caller's predicate is never decomposed.
+That search is exact.  Tarjan's pass makes one depth-first search per
+root, taking each state's edges in ``_expand`` order, and takes its
+roots in breadth-first order from the start: ``range(n)`` over the
+whole region, which numbers its states that way, and over the product a
+breadth-first walk of its edges from state 0, the start, which meets
+the states of the whole region in the same order.  So a pass over fire
+edges alone or over every edge fixes the same components in the same
+order, the first zero-delay or fair one, its first state and every
+breadth-first walk of the witness, however the states are numbered.
+The fire-only pass runs first when some group region has a zero-delay
+cycle, which lifts to the product with the other groups frozen, so the
+pass finds a cycle.  Otherwise no group region has a cycle of fires,
+nor has the product, whose cycles of fires would project onto one in
+some group, and the pass is skipped even under ``original``.  The
+verdict, its state count and its witness are the whole road's;
+``explored`` counts the group states and the product's.
+
+When some group's build stops early (a stuck state or the budget), the
+whole road is searched once more, so those failing verdicts and their
+witnesses are those of the whole product too; a group with a fair cycle
+of its own does not settle the query but does not stop another group
+from settling it.  ``check_af`` with a caller's predicate is never
+decomposed.
 """
 
 from __future__ import annotations
@@ -188,8 +178,6 @@ DEFAULT_STATE_BUDGET = 10_000_000
 # (Engine._expand), about 180 B and 300 B each; misses past this many per
 # memo are computed and not stored
 _ROW_LIMIT = 1 << 14
-# the note of a liveness failure by a cycle of fires alone
-_ZERO_DELAY_NOTE = "zero-delay cycle avoids the goal"
 
 
 class CheckerError(Exception):
@@ -1182,15 +1170,15 @@ class Engine:
                                          Optional[Tuple[_Region, List[int]]]]:
         """The search of _af: its verdict without the witness, a function
         that builds the witness (None when there is none), what the region
-        says of a holding product answer (_by_group), and for an OPEN part
-        the complete region with its enabled masks, from which _from_groups
-        can search the road's (_Product).  The part is RULES_OUT when the
-        build stopped early, ZERO_DELAY when the region has a zero-delay
-        cycle, SETTLES when it starves a controller in every SCC with an
-        internal edge (one enabled in each of its states that fires on
-        none of its internal edges), and OPEN otherwise.  The region
-        (_region) is every state reachable without passing a good state,
-        with all its edges.
+        says of a holding product answer (_by_group), and the complete
+        region with its enabled masks, from which _from_groups can search
+        the road's (_Product); None when the build stopped early.  The part
+        is RULES_OUT when the build stopped early, ZERO_DELAY when the
+        region has a zero-delay cycle, SETTLES when it starves a controller
+        in every SCC with an internal edge (one enabled in each of its
+        states that fires on none of its internal edges), and OPEN
+        otherwise.  The region (_region) is every state reachable without
+        passing a good state, with all its edges.
 
         The fire-only SCC pass is skipped when the controller's own fires
         cannot cycle (_CarTable.fires_acyclic, one flag for every car): a
@@ -1199,7 +1187,7 @@ class Engine:
         from 0 to 1 and the progress observers move only with their car."""
         if good(self._initial_sid):
             return Verdict("holds", states=1), None, _Part.SETTLES, None
-        region, enabled, stop = self._region(good, False)
+        region, enabled, stop = self._region(good)
         if stop is not None:
             if stop.outcome == "inconclusive":
                 return stop, None, _Part.RULES_OUT, None
@@ -1208,29 +1196,38 @@ class Engine:
             stuck = len(enabled)
             return (stop, lambda: self._trace(region.edges, stuck, (), region.sid),
                     _Part.RULES_OUT, None)
-        passes = [(False, region.succ(False))]
-        if not self._table.fires_acyclic:
-            passes.insert(0, (True, region.succ(True)))
+        passes = (False,) if self._table.fires_acyclic else (True, False)
         verdict, witness, part = self._scan(region, enabled.__getitem__, passes)
-        return verdict, witness, part, (region, enabled) if part is _Part.OPEN else None
+        return verdict, witness, part, (region, enabled)
 
     def _scan(self, graph: Union[_Region, "_Product"], enabled: Callable[[int], int],
-              passes: Sequence[Tuple[bool, Callable[[int], Iterable[int]]]]
-              ) -> Tuple[Verdict, Optional[Callable[[], Trace]], _Part]:
+              passes: Sequence[bool]) -> Tuple[Verdict, Optional[Callable[[], Trace]], _Part]:
         """The SCC passes of _af_search over a complete region or a
         _Product, in order: zero-delay cycles (fire edges only) for a pass
-        (True, succ), fair ones for (False, succ), where succ gives the
-        pass's edges to _tarjan.  A fair SCC is one where every controller
-        enabled in some state (enabled(k)) also fires on an internal edge.
-        Returns the verdict, its witness function and the part, as
-        _af_search does."""
-        states = graph.n
-        member = bytearray(states)      # the SCC at hand (_cycles)
+        True, fair ones for False.  Each pass reads _tarjan's components
+        from graph's roots, in its order, with the mask of the controllers
+        that fire on an internal edge of graph.edges(k).  A fair SCC is one
+        where every controller enabled in some state (enabled(k)) also
+        fires on an internal edge.  Both graphs give the same interface,
+        and their roots in the same breadth-first order (module docstring),
+        so a product answers as the whole region it stands for.  Returns
+        the verdict, its witness function and the part, as _af_search
+        does."""
+        states, edges, ncars = graph.n, graph.edges, self._ncars
+        member = bytearray(states)      # 1 for the states of the SCC at hand
         loose = False       # some SCC with an internal edge starves no controller
-        for fire_only, succ in passes:
-            for scc, fired in _cycles(states, succ, graph.edges, member, self._ncars):
+        for fire_only in passes:
+            for scc in _tarjan(states, graph.succ(fire_only), graph.roots()):
+                for k in scc:
+                    member[k] = 1
+                fired = 0
+                for k in scc:
+                    for code, k2 in edges(k):
+                        if member[k2] and code != -1 and (code >> 8) < ncars:
+                            fired |= 1 << (code >> 8)
                 if fire_only:
-                    needed, note, part = fired, _ZERO_DELAY_NOTE, _Part.ZERO_DELAY
+                    needed, part = fired, _Part.ZERO_DELAY
+                    note = "zero-delay cycle avoids the goal"
                 else:
                     needed, always = 0, -1
                     note, part = "fair cycle avoids the goal", _Part.OPEN
@@ -1240,21 +1237,24 @@ class Engine:
                         always &= mask
                     loose = loose or not (always & ~fired)
                 if fire_only or not needed & ~fired:
+                    # member still marks scc for the witness's cycle
                     return (Verdict("fails", states=states, note=note),
-                            lambda: self._trace(graph.edges, scc[0], self._lasso(
-                                graph.edges, scc, member, needed, fire_only), graph.sid),
+                            lambda: self._trace(edges, scc[0], self._lasso(
+                                edges, scc, member, needed, fire_only), graph.sid),
                             part)
+                for k in scc:
+                    member[k] = 0
         return Verdict("holds", states=states), None, _Part.OPEN if loose else _Part.SETTLES
 
-    def _region(self, good, fire_only: bool) -> Tuple[_Region, List[int], Optional[Verdict]]:
+    def _region(self, good) -> Tuple[_Region, List[int], Optional[Verdict]]:
         """The states reachable from the start without passing a good state
         (the start is not tested), numbered in breadth-first order with their
-        edges in CSR form (_Region), fire edges only when fire_only; the enabled
-        mask of each expanded state, apart, so that a witness walking the region
-        does not hold the masks; and the verdict that stopped the build early: a
-        run into a stuck state (nothing can fire or delay), order[len(enabled)],
-        or the budget (None when it was built to its end).  A region that stopped
-        early must not be searched for cycles: its later states were never expanded."""
+        edges in CSR form (_Region); the enabled mask of each expanded state,
+        apart, so that a witness walking the region does not hold the masks;
+        and the verdict that stopped the build early: a run into a stuck state
+        (nothing can fire or delay), order[len(enabled)], or the budget (None
+        when it was built to its end).  A region that stopped early must not
+        be searched for cycles: its later states were never expanded."""
         init = self._initial_sid
         region = _Region([init], array("q", [0]), array("i"), array("i"))
         order, offsets, targets, codes = region
@@ -1265,8 +1265,6 @@ class Engine:
             if not succs:
                 return region, enabled, Verdict("fails", states=len(order),
                                                 note="run reaches a stuck state")
-            if fire_only:
-                succs = [edge for edge in succs if edge[0] != -1]
             enabled.append(mask)
             for code, s2 in succs:
                 k2 = index.get(s2)
@@ -1284,40 +1282,10 @@ class Engine:
             offsets.append(len(targets))
         return region, enabled, None
 
-    def _zero_delay_witness(self, good) -> Tuple[Optional[Trace], int]:
-        """The witness _af_search builds for a zero-delay cycle, found
-        without the whole region when the region has no stuck state and
-        fits the budget (see _from_groups), and the number of states stored:
-        None when it is not found this way or the build stopped early.
-
-        It builds the fire-only region (_region): the states reachable
-        from the start over fire edges alone, numbered as _af_search
-        numbers the whole region, and runs the same fire-only SCC pass over
-        it.  Both passes make one depth-first search from state 0, the
-        start, over the same edge lists, and every state numbered here lies
-        in that first search tree, so the first SCC with an internal edge
-        found here is the first one the whole region yields; when there is
-        none here, the whole region may still have one.  The cover cycle
-        walks the same fire edges, and the stem walks _expand with good
-        states dropped, which are the edges the whole region keeps."""
-        region, _, stop = self._region(good, True)
-        if stop is None:
-            member = bytearray(region.n)
-            # the region holds fire edges alone
-            for scc, fired in _cycles(region.n, region.succ(False), region.edges,
-                                      member, self._ncars):
-                stem = lambda sid: [(code, s2) for code, s2 in self._expand(sid)[0]
-                                    if not good(s2)]
-                order = region.order
-                cycle = [(order[k], code, order[k2]) for k, code, k2 in
-                         self._lasso(region.edges, scc, member, fired, True)]
-                return self._trace(stem, order[scc[0]], cycle), region.n
-        return None, region.n
-
     def _lasso(self, edges, scc: List[int], member: bytearray, needed: int,
                fire_only: bool) -> List[Tuple[int, int, int]]:
-        """The cycle of a witness in scc, the component that _cycles just
-        yielded (member marks its states): a closed walk from scc[0] over
+        """The cycle of a witness in scc, the component that _scan stopped
+        at (member marks its states): a closed walk from scc[0] over
         the edges(k) inside scc, as (k, code, k2) triples of state numbers,
         that fires every controller in needed at least once, with no delays
         when fire_only."""
@@ -1378,7 +1346,7 @@ class Engine:
     def _by_group(self, query: Query) -> Verdict:
         """query one interaction group at a time when the road has more
         than one and, for liveness, no collision observer; otherwise, or
-        when the groups do not settle it, the monolithic search."""
+        when a group rules the answer out, the monolithic search."""
         liveness = isinstance(query, (LivenessAny, LivenessCar))
         watched = self._liveness_targets(query) if liveness else ()
         groups = self._pair_graph().groups
@@ -1399,12 +1367,12 @@ class Engine:
 
         When no group rules the answer out, and the product of the group
         state counts exceeds the budget, the answer is inconclusive at the
-        budget, whatever the parts.  Otherwise the product is the answer
-        when some group settles it (_group_part), or, for liveness, when
-        some group region has a zero-delay cycle.  When every group region
-        comes back OPEN, the road's region is their product, searched as a
-        _Product.  That needs no test of the start: every start is its own
-        delay successor (module docstring)."""
+        budget, whatever the parts.  Otherwise the product holds when some
+        group settles it (_group_part) and no group region has a zero-delay
+        cycle; else the road's region is the product of the group regions,
+        searched as a _Product, over fire edges first when some group
+        region has a zero-delay cycle.  That needs no test of the start:
+        every start is its own delay successor (module docstring)."""
         explored, product, parts, factors = 0, 1, set(), []
         for group in groups:
             verdict, part, factor = self._group_factor(group, query, watched)
@@ -1417,32 +1385,25 @@ class Engine:
         if product > self.budget:
             return Verdict("inconclusive", states=self.budget, explored=explored,
                            note=f"state budget {self.budget} exhausted"), explored
-        if _Part.ZERO_DELAY in parts:
-            witness, stored = self._zero_delay_witness(self._goal(watched))
-            explored += stored
-            if witness is not None:
-                return Verdict("fails", witness, states=product,
-                               note=_ZERO_DELAY_NOTE, explored=explored), explored
-        elif _Part.SETTLES in parts:
+        zero_delay = _Part.ZERO_DELAY in parts
+        if _Part.SETTLES in parts and not zero_delay:
             return Verdict("holds", states=product, explored=explored), explored
-        else:
-            # every part is OPEN, which only liveness gives; no group
-            # region has a cycle of fires, so neither has the product
-            graph = _Product(factors)
-            verdict, witness, _ = self._scan(graph, graph.enabled, ((False, graph.targets),))
-            explored += product
-            return replace(verdict, explored=explored,
-                           witness=None if witness is None else witness()), explored
-        return None, explored
+        # only liveness gets here, every group region complete
+        graph = _Product(factors)
+        verdict, witness, _ = self._scan(graph, graph.enabled,
+                                         (True, False) if zero_delay else (False,))
+        explored += product
+        return replace(verdict, explored=explored,
+                       witness=None if witness is None else witness()), explored
 
     def _group_factor(self, group: Tuple[int, ...], query: Query, watched: Sequence[str]
                       ) -> Tuple[Verdict, _Part, Optional[Tuple[Tuple[int, ...], _Region,
-                                                                List[int]]]]:
-        """The verdict and part of group's engine (_group_part), and for an
-        OPEN part what _Product reads of the group: its cars (road
-        indices), its region with each state's part of the road's sid in
-        place of its own sid, and its enabled masks.  The group's engine is
-        not kept."""
+                                                                List[int], Callable[[int], int]]]]:
+        """The verdict and part of group's engine (_group_part), and for a
+        complete liveness region what _Product reads of the group: its cars
+        (road indices), its region, its enabled masks, and a function that
+        maps one of its sids to that state's part of the road's sid, which
+        only the states of a witness need."""
         sub = self._restrict(group)
         verdict, part, found = sub._group_part(query, watched)
         if found is None:
@@ -1450,20 +1411,20 @@ class Engine:
         region, enabled = found
         places = [self._mults[i] for i in group] + [
             self._mults[self._live_digit0 + self._live_index[w]] for w in sub._live_cars]
-        sids = [sum(d * m for d, m in zip(sub._unpack(sid), places)) for sid in region.order]
-        return verdict, part, (group, region._replace(order=sids), enabled)
+        return verdict, part, (group, region, enabled,
+                               lambda sid: sum(d * m for d, m in zip(sub._unpack(sid), places)))
 
     @_drops_rows
     def _group_part(self, query: Query, watched: Sequence[str]
                     ) -> Tuple[Verdict, _Part, Optional[Tuple[_Region, List[int]]]]:
         """A group engine's search for _by_group, what it says of the
-        product answer (_Part), and for an OPEN part the group's complete
-        region with its enabled masks (_af_search).  An AG search settles
-        it when it holds and rules it out otherwise.  A liveness region
-        avoids the goal of the group's cars in watched (a group without any
-        keeps every reachable state); its part is _af_search's.  No witness
-        is built: the road's witness comes from the whole-road engine or
-        the product of the group regions."""
+        product answer (_Part), and for a liveness query the group's
+        complete region with its enabled masks (_af_search).  An AG search
+        settles it when it holds and rules it out otherwise.  A liveness
+        region avoids the goal of the group's cars in watched (a group
+        without any keeps every reachable state); its part is _af_search's.
+        No witness is built: the road's witness comes from the whole-road
+        engine or the product of the group regions."""
         if isinstance(query, (LivenessAny, LivenessCar)):
             verdict, _, part, region = self._af_search(self._goal(watched))
             return verdict, part, region
@@ -1573,32 +1534,41 @@ class _Region(NamedTuple):
             return targets[a:b - 1] if b > a and codes[b - 1] == -1 else targets[a:b]
         return fires
 
+    def roots(self) -> range:
+        """_tarjan's roots: every state in breadth-first order, which is
+        the order of the state numbers."""
+        return range(self.n)
+
 
 class _Product:
     """The region of a liveness query on a road whose interaction groups'
-    regions all came back OPEN (Engine._by_group), searched without being
-    built: the product of the group regions (module docstring).
+    regions are all complete but do not answer it alone
+    (Engine._from_groups), searched without being built: the product of
+    the group regions (module docstring).
 
     State p numbers one state per group region by mixed radix, the first
     group's digit the most significant, so the start is 0.  Its edges are
     every group's fire edges, merged in road car order and then slot,
     then one delay edge when every group's state keeps its own; its
     enabled mask is the union of the group masks.  These are the edges
-    and masks of the whole road's region, in _expand order.
+    and masks of the whole road's region, in _expand order, and roots()
+    meets the states in the order in which that region numbers them, so
+    _tarjan's passes over the two are the same search.
 
-    Per group, _digits holds (mult, size, fires, delays, masks, sids),
-    each list indexed by the group's state number k: its fire edges as
-    (road code, number delta) pairs, its delay edge's delta (None without
-    one), its enabled mask in road car bits, and its part of the road's
-    sid."""
+    Per group, _digits holds (mult, size, fires, delays, masks, sids,
+    road), the first four lists indexed by the group's state number k: its
+    fire edges as (road code, number delta) pairs, its delay edge's delta
+    (None without one), its enabled mask in road car bits, and its sid;
+    road maps that sid to its part of the road's sid."""
 
-    def __init__(self, factors: Sequence[Tuple[Tuple[int, ...], _Region, List[int]]]):
+    def __init__(self, factors: Sequence[Tuple[Tuple[int, ...], _Region, List[int],
+                                               Callable[[int], int]]]):
         """factors: per interaction group, in group order, its cars (road
-        indices), its region holding each state's part of the road's sid
-        as its order, and its enabled masks (Engine._group_factor)."""
+        indices), its region, its enabled masks, and the map of its sids
+        to their parts of the road's sid (Engine._group_factor)."""
         digits = []
         mult = 1
-        for cars, region, enabled in reversed(factors):
+        for cars, region, enabled, road in reversed(factors):
             fires, delays, masks = [], [], []
             for k in range(region.n):
                 out, delay = [], None
@@ -1610,11 +1580,11 @@ class _Product:
                 fires.append(tuple(out))
                 delays.append(delay)
                 masks.append(sum(1 << i for j, i in enumerate(cars) if enabled[k] >> j & 1))
-            digits.append((mult, region.n, fires, delays, masks, region.order))
+            digits.append((mult, region.n, fires, delays, masks, region.order, road))
             mult *= region.n
         self.n = mult
         self._digits = digits[::-1]
-        cars = [c for c, _, _ in factors]
+        cars = [c for c, _, _, _ in factors]
         # groups come in the order of their first cars; their fires need a
         # merge only when one group's cars run past the next group's first
         self._merge = any(max(a) > min(b) for a, b in zip(cars, cars[1:]))
@@ -1623,7 +1593,7 @@ class _Product:
         """The edges (code, state number) of state p, in _expand order."""
         moves: List[Tuple[int, int]] = []     # (code, number delta)
         delay: Optional[int] = 0
-        for mult, size, fires, delays, _, _ in self._digits:
+        for mult, size, fires, delays, _, _, _ in self._digits:
             k = p // mult % size
             moves += fires[k]
             if delay is not None:
@@ -1636,37 +1606,59 @@ class _Product:
             out.append((-1, p + delay))
         return out
 
-    def targets(self, p: int) -> List[int]:
-        """The targets of edges(p), in its order: _tarjan's successors."""
-        return [p2 for _, p2 in self.edges(p)]
+    def succ(self, fire_only: bool) -> Callable[[int], List[int]]:
+        """_tarjan's successor function: the targets of edges(p), in its
+        order, of its fire edges alone when fire_only."""
+        if fire_only:
+            return lambda p: [p2 for code, p2 in self.edges(p) if code != -1]
+        return lambda p: [p2 for _, p2 in self.edges(p)]
+
+    def roots(self) -> Iterator[int]:
+        """_tarjan's roots: the states in breadth-first order over edges(p)
+        from state 0, the order in which the whole road's region numbers
+        them (_region).  The walk runs only as far as _tarjan asks: a pass
+        whose search from state 0 reaches every state reads no more."""
+        yield 0
+        seen = bytearray(self.n)
+        seen[0] = 1
+        queue = array("i", [0])
+        for p in queue:     # grows while it is walked
+            for _, p2 in self.edges(p):
+                if not seen[p2]:
+                    seen[p2] = 1
+                    queue.append(p2)
+                    yield p2
 
     def enabled(self, p: int) -> int:
         mask = 0
-        for mult, size, _, _, masks, _ in self._digits:
+        for mult, size, _, _, masks, _, _ in self._digits:
             mask |= masks[p // mult % size]
         return mask
 
     def sid(self, p: int) -> int:
-        return sum(sids[p // mult % size] for mult, size, _, _, _, sids in self._digits)
+        return sum(road(sids[p // mult % size])
+                   for mult, size, _, _, _, sids, road in self._digits)
 
 
-def _tarjan(n: int, succ: Callable[[int], Iterable[int]]) -> Iterator[List[int]]:
+def _tarjan(n: int, succ: Callable[[int], Iterable[int]],
+            roots: Iterable[int]) -> Iterator[List[int]]:
     """The strongly connected components with an internal edge of the graph
     over states 0..n - 1 whose edges leave state k for the states succ(k).
 
-    Iterative Tarjan: roots are taken in state order and each state's
-    edges in succ's order, so the components come out in one deterministic
-    order, and in reverse topological order: when a path joins two of
-    them, its end's is yielded first.  Each component lists its states as
-    they leave the stack, its root last.  A component of one state is
-    yielded only when it has an edge to itself.  A low-link is kept only
-    while its state is on the depth-first path."""
+    Iterative Tarjan: roots are taken in the order of roots, which lists
+    every state, and each state's edges in succ's order, so the components
+    come out in one deterministic order, and in reverse topological order:
+    when a path joins two of them, its end's is yielded first.  No root is
+    read once every state has been reached.  Each component lists its
+    states as they leave the stack, its root last.  A component of one
+    state is yielded only when it has an edge to itself.  A low-link is
+    kept only while its state is on the depth-first path."""
     index = array("i", [-1]) * n    # discovery number; n once yielded
     looped = bytearray(n)           # 1 for a state with an edge to itself
     stack = array("i")              # Tarjan's stack
     path = []   # the path above v: (state, its edges not looked at yet, low-link)
     count = 0
-    for root in range(n):
+    for root in roots:
         if index[root] >= 0:
             continue
         v, rest, low = root, iter(succ(root)), count
@@ -1703,27 +1695,8 @@ def _tarjan(n: int, succ: Callable[[int], Iterable[int]]) -> Iterator[List[int]]
             index[w] = count
             count += 1
             stack.append(w)
-
-
-def _cycles(n: int, succ: Callable[[int], Iterable[int]],
-            edges: Callable[[int], List[Tuple[int, int]]], member: bytearray,
-            ncars: int) -> Iterator[Tuple[List[int], int]]:
-    """_tarjan's components over succ, in its order, each with the mask
-    of the controllers (codes below ncars << 8) that fire on an internal
-    edge of edges(k), which lists state k's edges as (code, state) pairs.
-    member[k] is 1 for the states of the component just yielded, and 0
-    for every other state, until the generator resumes."""
-    for scc in _tarjan(n, succ):
-        for k in scc:
-            member[k] = 1
-        fired = 0
-        for k in scc:
-            for code, k2 in edges(k):
-                if member[k2] and code != -1 and (code >> 8) < ncars:
-                    fired |= 1 << (code >> 8)
-        yield scc, fired
-        for k in scc:
-            member[k] = 0
+        if count == n:
+            return
 
 
 # ---------------------------------------------------------------------------

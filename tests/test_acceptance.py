@@ -265,10 +265,9 @@ def test_c8_four_cars_terminate_within_budget():
             else:
                 # group {A,B}'s region has a zero-delay cycle, so the
                 # product of the regions fails; explored counts the group
-                # regions and the states reachable from the start over
-                # fires alone, where the witness's cycle is found
-                states, explored = ((1_350, 30 + 9 + 5 + 180) if text == "liveness-any"
-                                    else (308_256, 114 + 52 + 52 + 448))
+                # regions and the product, searched without being stored
+                states, explored = ((1_350, 30 + 9 + 5 + 1_350) if text == "liveness-any"
+                                    else (308_256, 114 + 52 + 52 + 308_256))
                 assert (v.outcome, v.states, v.explored, v.note) == (
                     "fails", states, explored, "zero-delay cycle avoids the goal"), (text, v)
             outcomes[text] = v.outcome

@@ -385,16 +385,12 @@ def test_witnesses_are_first_breadth_first_walks():
     # a goal that the first walk over every edge passes through: the stems
     # to tiny's zero-delay cycle and to the stuck state of stuck_road's
     # cars under original-plus-tw start with A's claim, and must start
-    # with B's inside the region.  The zero-delay witness that _by_group
-    # builds from the start's fire edges walks the same stem
+    # with B's inside the region
     a_first = lambda s: s.location("A") == "claimed" and s.location("B") == "cruising"
     stuck_cars = [(c.name, c.lane, c.pos, c.size) for c in stuck_road().cars]
     for eng in (Engine(2, [("A", 0, 0, 4), ("B", 1, 2, 4)]),
                 Engine(2, stuck_cars, "original-plus-tw", horizon=5)):
         af(eng, a_first, eng.check_af(a_first))
-    eng = Engine(2, [("A", 0, 0, 4), ("B", 1, 2, 4)])
-    zero_delay, stored = eng._zero_delay_witness(lambda sid: a_first(eng._to_state(sid)))
-    assert (zero_delay, stored) == (cases[-2][0].witness, 3)
 
     notes = [v.note for v, _ in cases]
     assert [v.outcome for v, _ in cases] == ["fails"] * 11
@@ -432,17 +428,19 @@ def _csr_graphs(draw):
     return adj, checker._Region(list(range(n)), offsets, targets, codes)
 
 
-@given(_csr_graphs(), st.booleans())
+@given(_csr_graphs(), st.booleans(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_tarjan_matches_networkx(graph, fire_only):
+def test_tarjan_matches_networkx(graph, fire_only, data):
     # the components with an internal edge (fire edges alone when
-    # fire_only), over the region's successor function
+    # fire_only), over the region's successor function, with the roots
+    # taken in any order
     adj, region = graph
+    roots = data.draw(st.permutations(range(region.n)))
     g = nx.DiGraph()
     g.add_nodes_from(range(len(adj)))
     g.add_edges_from((v, w) for v, out in enumerate(adj) for w, c in out
                      if c != -1 or not fire_only)
-    sccs = list(checker._tarjan(region.n, region.succ(fire_only)))
+    sccs = list(checker._tarjan(region.n, region.succ(fire_only), roots))
     cyclic = [comp for comp in nx.strongly_connected_components(g)
               if len(comp) > 1 or g.has_edge(*2 * tuple(comp))]
     assert sorted(map(sorted, sccs)) == sorted(map(sorted, cyclic))
@@ -503,23 +501,7 @@ def test_acyclic_fire_graphs_leave_no_zero_delay_cycle(eng):
         offsets.append(len(targets))
     fires = lambda k: [targets[e] for e in range(offsets[k], offsets[k + 1])
                        if codes[e] != -1]
-    assert list(checker._tarjan(len(order), fires)) == []
-
-
-@given(_small_roads(), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_fire_only_region_gives_the_whole_search_witness(eng, first):
-    # watching the first car or every car: when the whole region has no
-    # stuck state, a zero-delay witness built from the fire-only region is
-    # the whole-road search's, after storing no more states
-    hypothesis.assume(eng._live_cars)
-    good = eng._goal(eng._live_cars[:1] if first else eng._live_cars)
-    _, _, stop = eng._region(good, False)
-    witness, stored = eng._zero_delay_witness(good)
-    if stop is None and witness is not None:
-        v = eng._af(good)
-        assert (v.witness, v.note) == (witness, checker._ZERO_DELAY_NOTE)
-        assert stored <= v.states
+    assert list(checker._tarjan(len(order), fires, range(len(order)))) == []
 
 
 def test_liveness_region_memory_per_state():
@@ -1031,10 +1013,9 @@ def test_group_product_against_budget():
                                                          explored)
     # fig1 original liveness-car=A: regions of 114 (with a zero-delay
     # cycle) and 52 (with a fair one), so neither settles a holding
-    # answer.  The product fails at a budget of exactly 5,928, after the
-    # 64 states reachable from the start over fires, and is inconclusive
-    # below it
-    for budget, outcome, explored in ((5_928, "fails", 114 + 52 + 64),
+    # answer.  The product fails at a budget of exactly 5,928, searched
+    # as the product of the regions, and is inconclusive below it
+    for budget, outcome, explored in ((5_928, "fails", 114 + 52 + 5_928),
                                       (5_927, "inconclusive", 114 + 52)):
         eng = Engine.for_query(fig1(), LivenessCar("A"), budget=budget)
         v = eng.run_query(LivenessCar("A"))
@@ -1082,8 +1063,9 @@ def _fig1_cars(variant, order):
 
 
 def test_product_of_group_regions_matches_the_whole_road(monkeypatch):
-    # when every group region comes back OPEN, run_query searches their
-    # product without the whole-road engine's _expand or _whole, and gives
+    # when every group region is complete, and none settles the query or
+    # some has a zero-delay cycle, run_query searches their product
+    # without the whole-road engine's _expand or _whole, and gives
     # the verdict of the group searches followed by the whole-road search,
     # witness and explored included.  Roads: fig1; fig1 with its cars
     # listed A, E, B, so that groups {A,B} and {E} interleave in car order;
@@ -1126,6 +1108,7 @@ def test_product_of_group_regions_matches_the_whole_road(monkeypatch):
             replay(v.witness)
     for order in ("ABE", "AEB"):
         assert (order, "original-plus-tw", LivenessCar("A")) in taken
+        assert (order, "original", LivenessCar("A")) in taken
     grouped = [t for t in taken if t[0] == "grouped"]
     assert {variant for _, variant, _ in grouped} == set(VARIANTS), grouped
 
@@ -1176,12 +1159,12 @@ def test_whole_road_search_after_open_groups_holds_no_group_region(monkeypatch):
 def test_zero_delay_failures_come_from_the_group_regions(monkeypatch):
     # original: some group region has a zero-delay cycle and none a stuck
     # state, so the product fails without the whole-road search.  explored
-    # is the group regions plus the states reachable from the start over
-    # fires alone (fig1 liveness-car=A: 114 + 52 + 64)
+    # is the group regions plus the product (fig1 liveness-car=A: 114 + 52
+    # + 5,928)
     fourcars = load_scenario("scenarios/fourcars.scn")
-    pins = {("fig1", "any"): (150, 71), ("fig1", "car"): (5_928, 230),
-            ("three-lane", "any"): (50, 33), ("three-lane", "car"): (1_330, 105),
-            ("fourcars", "any"): (1_350, 224), ("fourcars", "car"): (308_256, 666)}
+    pins = {("fig1", "any"): (150, 185), ("fig1", "car"): (5_928, 6_094),
+            ("three-lane", "any"): (50, 65), ("three-lane", "car"): (1_330, 1_403),
+            ("fourcars", "any"): (1_350, 1_394), ("fourcars", "car"): (308_256, 308_474)}
     whole = Engine._whole
     called = []
     monkeypatch.setattr(Engine, "_whole", lambda self, query: called.append(query))
@@ -1198,24 +1181,41 @@ def test_zero_delay_failures_come_from_the_group_regions(monkeypatch):
             replay(v.witness)
 
 
-def test_zero_delay_failure_without_a_cycle_from_the_start():
+def test_zero_delay_failure_without_a_cycle_from_the_start(monkeypatch):
     # A and B two lanes apart: their claims meet only after one of them has
     # changed lanes, which takes delays, so the fires from the start reach
-    # no cycle and the whole road is searched after the groups
+    # no cycle.  The product's fire pass then takes its next roots in
+    # breadth-first order, as the whole road's does, and answers without
+    # the whole-road search
     eng = Engine(4, [("A", 0, 0, 4), ("B", 3, 1, 4), ("E", 0, 40, 4)],
                  live_observers=("A",))
     ab = eng._restrict(eng._pair_graph().groups[0])._whole(LivenessCar("A"))
     assert (ab.outcome, ab.note) == ("fails", "zero-delay cycle avoids the goal")
-    assert eng._zero_delay_witness(eng._goal(("A",))) == (None, 48)
+    whole = Engine._whole
+    called = []
+    monkeypatch.setattr(Engine, "_whole", lambda self, query: called.append(query))
     v = eng.run_query(LivenessCar("A"))
-    want = eng._whole(LivenessCar("A"))
+    assert not called
+    want = whole(eng, LivenessCar("A"))
     _same_answer(v, want)
     assert (v.outcome, v.states, v.note) == ("fails", 6_396,
                                              "zero-delay cycle avoids the goal")
-    # the group regions ({A,B}, then E's 52 states), the fires from the
-    # start, then the whole road
-    assert v.explored == ab.states + 52 + 48 + want.explored
+    # the group regions ({A,B}, then E's 52 states), then the product
+    assert v.explored == ab.states + 52 + 6_396
     replay(v.witness)
+
+
+def test_product_roots_meet_the_states_in_region_order():
+    # the claim the product search's exactness rests on: the product's
+    # roots, a breadth-first walk of its edges from the start, mapped
+    # through sid, are the whole region's states in _region's order
+    eng = Engine.for_query(fig1(), LivenessCar("A"))
+    watched = eng._liveness_targets(LivenessCar("A"))
+    graph = checker._Product([eng._group_factor(g, LivenessCar("A"), watched)[2]
+                              for g in eng._pair_graph().groups])
+    region, _, stop = eng._region(eng._goal(watched))
+    assert stop is None and graph.n == region.n == 5_928
+    assert [graph.sid(p) for p in graph.roots()] == region.order
 
 
 def test_group_control_flow_reads_no_note(monkeypatch):
@@ -1229,7 +1229,7 @@ def test_group_control_flow_reads_no_note(monkeypatch):
     monkeypatch.setattr(Engine, "_af_search", blank_notes)
     v = run_query(fig1(), LivenessCar("A"))
     assert (v.outcome, v.states, v.explored, v.note) == (
-        "fails", 5_928, 114 + 52 + 64, "zero-delay cycle avoids the goal")
+        "fails", 5_928, 114 + 52 + 5_928, "zero-delay cycle avoids the goal")
 
 
 def test_group_parts():
