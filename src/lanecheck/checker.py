@@ -179,6 +179,9 @@ DEFAULT_STATE_BUDGET = 10_000_000
 # memo are computed and not stored
 _ROW_LIMIT = 1 << 14
 
+# Engine._region numbers states in pages of 1 << _PAGE_BITS neighbouring sids
+_PAGE_BITS = 6
+
 
 class CheckerError(Exception):
     pass
@@ -663,7 +666,9 @@ class Engine:
     check_af returns; each holds at most _ROW_LIMIT rows (later misses
     are computed and not stored), and a block whose slice spans every
     car stores none: its key is the whole state, met again only when a
-    state is expanded again.
+    state is expanded again.  Nor does the car memo of a car with no
+    neighbours that forms a block of its own in a road of several: its
+    block's key holds the same digits, so each row would be stored twice.
     """
 
     def __init__(self, lane_count: int, cars: Sequence[Tuple[str, int, int, int]],
@@ -943,13 +948,13 @@ class Engine:
         return succs, enabled
 
     def _row_cache(self) -> Tuple[list, list]:
-        """_rows: the blocks, and per car i (its row memo, the multipliers of
-        the digits of the cars in sees[i] and seen_by[i], of its own and of
-        its live digit, 0 when unwatched).  A block is (top, divisor, live
-        multipliers, store limit, memo, cars, multiplier pairs of the
-        colliding pairs whose first car is in it), where sid % top //
-        divisor is the slice of sid from the first to the last digit its
-        cars' rows read."""
+        """_rows: the blocks, and per car i (its store limit, its row memo,
+        the multipliers of the digits of the cars in sees[i] and seen_by[i],
+        of its own and of its live digit, 0 when unwatched).  A block is
+        (top, divisor, live multipliers, store limit, memo, cars, multiplier
+        pairs of the colliding pairs whose first car is in it), where sid %
+        top // divisor is the slice of sid from the first to the last digit
+        its cars' rows read."""
         pairs, mults, n = self._pair_graph(), self._mults, self._ncars
         live = [mults[self._live_digit0 + self._live_index[w]] if w in self._live_index else 0
                 for w in self.car_names]
@@ -964,13 +969,16 @@ class Engine:
             else:
                 spans.append((lo, hi))
                 cars.append([i])
+        # a car with no neighbours, alone in a block that stores rows: the
+        # block's key holds the digits of the car's, so only the block stores
+        alone = {b[0] for (lo, hi), b in zip(spans, cars) if lo == hi and n > 1}
         self._rows = [(mults[lo] * self._table.count, mults[hi],
                        tuple(live[i] for i in b if live[i]),
                        0 if hi - lo == n - 1 else _ROW_LIMIT, {}, b,
                        tuple((mults[i], mults[j]) for i, j in pairs.collide if i in b))
                       for (lo, hi), b in zip(spans, cars)], [
-            ({}, [mults[j] for j in pairs.sees[i]], [mults[j] for j in pairs.seen_by[i]],
-             mults[i], live[i]) for i in range(n)]
+            (0 if i in alone else _ROW_LIMIT, {}, [mults[j] for j in pairs.sees[i]],
+             [mults[j] for j in pairs.seen_by[i]], mults[i], live[i]) for i in range(n)]
         return self._rows
 
     def _car_row(self, i: int, sid: int) -> Tuple[tuple, Optional[int]]:
@@ -978,7 +986,7 @@ class Engine:
         order, and the sid delta of its part of the delay step (None when
         its clock bound blocks waiting), memoised in _rows on the key the
         class docstring gives."""
-        memo, sees, seen, m, k = self._rows[1][i]
+        limit, memo, sees, seen, m, k = self._rows[1][i]
         table = self._table
         res_mask, clm_mask, inv, count = table.res_mask, table.clm_mask, table.inv, table.count
         occ = res = wcc = wpc = 0
@@ -1013,7 +1021,7 @@ class Engine:
                 fires.append(((i << 8) | fd.slot, delta))
             nx = table.delay_next[ci]
             row = tuple(fires), None if nx < 0 else (nx - ci) * m
-            if len(memo) < _ROW_LIMIT:
+            if len(memo) < limit:
                 memo[key] = row
         return row
 
@@ -1246,7 +1254,7 @@ class Engine:
                     member[k] = 0
         return Verdict("holds", states=states), None, _Part.OPEN if loose else _Part.SETTLES
 
-    def _region(self, good) -> Tuple[_Region, List[int], Optional[Verdict]]:
+    def _region(self, good) -> Tuple[_Region, Sequence[int], Optional[Verdict]]:
         """The states reachable from the start without passing a good state
         (the start is not tested), numbered in breadth-first order with their
         edges in CSR form (_Region); the enabled mask of each expanded state,
@@ -1254,12 +1262,24 @@ class Engine:
         and the verdict that stopped the build early: a run into a stuck state
         (nothing can fire or delay), order[len(enabled)], or the budget (None
         when it was built to its end).  A region that stopped early must not
-        be searched for cycles: its later states were never expanded."""
+        be searched for cycles: its later states were never expanded.
+
+        While it builds, the state numbers live in pages: sid >> _PAGE_BITS
+        keys an array of the numbers of the 1 << _PAGE_BITS sids that share
+        it, -1 for a sid not numbered yet, made when one of them is first
+        numbered and dropped on return.  The masks are a bytearray when the
+        engine has at most 8 cars (a list otherwise), and order an array of
+        64-bit ints when every sid fits in one (_Region)."""
         init = self._initial_sid
-        region = _Region([init], array("q", [0]), array("i"), array("i"))
+        wide = self._mults[0] * self._radices[0] > 1 << 63
+        region = _Region([init] if wide else array("q", [init]), array("q", [0]),
+                         array("i"), array("i"))
         order, offsets, targets, codes = region
-        index = {init: 0}   # sid -> state number, read only while building
-        enabled: List[int] = []     # a list: masks can exceed 64 bits
+        bits, slot = _PAGE_BITS, (1 << _PAGE_BITS) - 1
+        blank = array("i", [-1]) * (slot + 1)
+        pages = {init >> bits: array("i", blank)}
+        pages[init >> bits][init & slot] = 0
+        enabled: Union[bytearray, List[int]] = [] if self._ncars > 8 else bytearray()
         for sid in order:   # grows while it is walked: a breadth-first queue
             succs, mask = self._expand(sid)
             if not succs:
@@ -1267,15 +1287,18 @@ class Engine:
                                                 note="run reaches a stuck state")
             enabled.append(mask)
             for code, s2 in succs:
-                k2 = index.get(s2)
-                if k2 is None:
+                page = pages.get(s2 >> bits, blank)
+                k2 = page[s2 & slot]
+                if k2 < 0:
                     if good(s2):
                         continue
                     if len(order) >= self.budget:
                         return region, enabled, Verdict(
                             "inconclusive", states=len(order),
                             note=f"state budget {self.budget} exhausted")
-                    k2 = index[s2] = len(order)
+                    if page is blank:
+                        page = pages[s2 >> bits] = array("i", blank)
+                    k2 = page[s2 & slot] = len(order)
                     order.append(s2)
                 targets.append(k2)
                 codes.append(code)
@@ -1499,10 +1522,10 @@ class _Region(NamedTuple):
     expanded in.  State k's edges, in _expand order, are targets[e] (state
     numbers) and codes[e] (as in _expand) for e in range(offsets[k],
     offsets[k + 1]); a state found but not expanded has no entry there and
-    reads as having no edges.  order stays a list, since sids can exceed
-    64 bits."""
+    reads as having no edges.  order is an array of 64-bit ints, or a list
+    on a road whose sids can exceed 63 bits."""
 
-    order: List[int]
+    order: Union[array, List[int]]
     offsets: array
     targets: array
     codes: array

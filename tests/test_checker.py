@@ -673,7 +673,7 @@ def _memos(eng):
     block named, so that a change to its layout fails here."""
     blocks, cars = eng._rows
     block_memos = [memo for _top, _div, _live, _limit, memo, _cars, _pairs in blocks]
-    car_memos = [memo for memo, _sees, _seen, _mult, _live in cars]
+    car_memos = [memo for _limit, memo, _sees, _seen, _mult, _live in cars]
     assert all(isinstance(memo, dict) for memo in block_memos + car_memos)
     return block_memos, car_memos
 
@@ -768,6 +768,29 @@ def test_a_two_car_group_stores_no_block_rows(monkeypatch):
     stored_blocks, stored_cars = zip(*sizes)
     assert max(stored_blocks) == 0
     assert 0 < max(stored_cars) < len(sizes)
+
+
+def test_a_lone_car_block_stores_its_rows_once(monkeypatch):
+    # fig1's E overlaps no car, so it forms block {E} of its own, keyed on
+    # the same digits as its car rows: only the block stores them
+    expand = Engine._expand
+    memos = []
+
+    def spy(self, sid):
+        out = expand(self, sid)
+        memos[:] = _memos(self)
+        return out
+
+    monkeypatch.setattr(Engine, "_expand", spy)
+    for variant, rows, answer in (("original", 52, ("fails", 5_928)),
+                                  ("live", 58, ("holds", 7_250))):
+        eng = Engine.for_query(fig1(variant), LivenessCar("A"))
+        assert eng.car_names == ("A", "B", "E")
+        v = eng.check_af(oracles.success_goal(["A"]))
+        assert (v.outcome, v.states) == answer
+        block_memos, car_memos = memos
+        assert len(block_memos) == 2 and len(block_memos[1]) == rows
+        assert len(car_memos[2]) == 0 and min(map(len, car_memos[:2])) > 0
 
 
 @st.composite
@@ -1215,7 +1238,7 @@ def test_product_roots_meet_the_states_in_region_order():
                               for g in eng._pair_graph().groups])
     region, _, stop = eng._region(eng._goal(watched))
     assert stop is None and graph.n == region.n == 5_928
-    assert [graph.sid(p) for p in graph.roots()] == region.order
+    assert [graph.sid(p) for p in graph.roots()] == list(region.order)
 
 
 def test_group_control_flow_reads_no_note(monkeypatch):
@@ -1328,6 +1351,18 @@ def test_ag_searches_over_a_space_above_2_to_the_28_match_the_oracle():
                 eng = Engine(4, cars, variant, collision_observer=collision, budget=50)
                 for v in (eng.run_query(query), eng._whole(query)):
                     assert (v.outcome, v.states) == ("inconclusive", 50), (variant, query)
+
+
+def test_liveness_region_over_a_space_above_2_to_the_63():
+    # an 11-car chain, each car overlapping the next: one group whose sids
+    # need more than 63 bits and whose enabled masks more than 8, so the
+    # region keeps its sids and its masks in lists
+    cars = [("ABCDEFGHIJK"[i], (1, 3, 0, 2)[i % 4], 10 + 3 * i, 4) for i in range(11)]
+    eng = Engine(4, cars, "live", live_observers=("A",), budget=300)
+    assert len(eng.interaction_groups()) == 1
+    assert eng._mults[0] * eng._radices[0] > 1 << 63
+    v = eng.run_query(LivenessCar("A"))
+    assert (v.outcome, v.states, v.explored) == ("inconclusive", 300, 300)
 
 
 def test_budget_makes_searches_inconclusive():
